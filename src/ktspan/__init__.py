@@ -25,10 +25,8 @@ from .graphs import (
 )
 from .separation import (
     ComponentMap,
-    child_id_set,
     component_count_bound,
     components_masks,
-    feasible_drop,
     separate,
 )
 from .information import (
@@ -50,8 +48,6 @@ from .information import (
     total_correlation,
 )
 from .solver import (
-    DPEntry,
-    DPKey,
     SolveResult,
     chow_liu,
     rescore_result,

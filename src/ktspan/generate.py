@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 
 from .errors import InfeasibleError
-from .graphs import BackboneTree, KTree, UndirectedGraph, iter_bits
+from .graphs import BackboneTree, KTree, UndirectedGraph, iter_bits, iter_cliques
 from .information import (
     ConditionalTable,
     ExplicitScoreOracle,
@@ -128,9 +128,7 @@ def random_explicit_scores(g: UndirectedGraph, k: int, rng,
     """Uniform integer score tables covering every (k+1)-clique of g."""
     root = {}
     pivot = {}
-    for c in itertools.combinations(range(g.n), k + 1):
-        if not g.is_clique(c):
-            continue
+    for c in iter_cliques(g.adj, k + 1):
         root[c] = float(rng.integers(low, high + 1))
         for w in c:
             base = tuple(x for x in c if x != w)

@@ -35,6 +35,43 @@ def iter_bits(mask: int):
         mask ^= low
 
 
+def iter_cliques(adj, size: int):
+    """Yield every clique of `size` vertices as an ascending tuple, in
+    lexicographic order.
+
+    adj is a per-vertex neighbor bitmask list. Each prefix is extended
+    only by the common neighbors of its members above its last vertex
+    (Chiba & Nishizeki 1985), so non-cliques are never enumerated.
+    """
+    if size < 1:
+        raise ValueError(f"clique size must be positive, got {size}")
+
+    def extend():
+        prefix = []
+        # stack[i] holds the candidates still open for position i; an
+        # explicit stack, since size may exceed the recursion limit
+        stack = [(1 << len(adj)) - 1]
+        while stack:
+            cand = stack[-1]
+            if cand.bit_count() < size - len(prefix):
+                # too few candidates left to complete any clique here
+                stack.pop()
+                if prefix:
+                    prefix.pop()
+                continue
+            low = cand & -cand
+            cand ^= low
+            stack[-1] = cand
+            v = low.bit_length() - 1
+            if len(prefix) + 1 == size:
+                yield (*prefix, v)
+            else:
+                prefix.append(v)
+                stack.append(cand & adj[v])
+
+    return extend()
+
+
 def _adjacency(n, edges):
     adj = [0] * n
     for u, v in edges:

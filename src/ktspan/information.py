@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from .errors import InstanceTooLargeError
-from .graphs import KTree, UndirectedGraph, validate_ktree
+from .graphs import KTree, UndirectedGraph, iter_cliques, validate_ktree
 
 # dense joint tables beyond this many cells are refused
 MAX_TABLE_CELLS = 1 << 20
@@ -298,9 +298,7 @@ def materialize_scores(oracle: ScoreOracle, g: UndirectedGraph,
         raise ValueError(f"need k >= 1, got {k}")
     root = {}
     pivot = {}
-    for c in itertools.combinations(range(g.n), k + 1):
-        if not g.is_clique(c):
-            continue
+    for c in iter_cliques(g.adj, k + 1):
         rs = oracle.root_score(c)
         if rs is not None:
             root[c] = rs

@@ -2,9 +2,10 @@
 
 Removing a candidate clique from the backbone leaves a forest. Each
 connected component is a region the construction must still cover, and
-is named by its smallest vertex. Bounded backbone degree caps how many
-regions a separator can create, which is what keeps the search state
-space polynomial.
+is named by its smallest vertex. A branch entering a region hands its
+child separator the components that partition what is left of it.
+Bounded backbone degree caps how many regions a separator can create,
+which is what keeps the search state space polynomial.
 """
 
 from __future__ import annotations
@@ -73,45 +74,27 @@ def separate(h: BackboneTree, sep: Clique) -> ComponentMap:
     return ComponentMap(sep, tuple(frozenset(iter_bits(m)) for _, m in comps), ids)
 
 
-def _as_mask(region) -> int:
-    return region if isinstance(region, int) else mask_of(region)
+def region_components(comps, region: int) -> int:
+    """Index mask of the components that partition region.
 
-
-def feasible_drop(h: BackboneTree, parent: Clique, drop: int, region) -> bool:
-    """May `drop` leave the separator while the search enters `region`?
-
-    Separators below this point never contain drop again, so any
-    backbone edge from drop into the region would become uncoverable.
-    Feasible iff drop has no backbone neighbor inside the region, which
-    is passed as a vertex set or bitmask.
+    comps is a components_masks list for a child separator and region
+    the backbone vertices its branch still has to cover. Every component
+    meeting region must lie inside it and together they must cover it;
+    anything else means the transition itself was malformed.
     """
-    if drop not in parent:
-        raise ValueError(f"vertex {drop} not in separator {parent.members}")
-    return h.adj[drop] & _as_mask(region) == 0
-
-
-def child_id_set(h: BackboneTree, child: Clique, region, pivot: int) -> frozenset:
-    """Component ids the child separator still has to resolve.
-
-    region is the slice of the parent's territory this branch enters,
-    either one component of backbone minus parent or a union of several.
-    The components of the backbone minus the child that lie inside
-    region - {pivot} must partition it exactly; anything else means the
-    transition itself was malformed.
-    """
-    rmask = _as_mask(region) & ~(1 << pivot)
-    ids = []
+    imask = 0
     covered = 0
-    for cid, m in components_masks(h.adj, h.n, mask_of(child)):
-        if m & rmask:
-            if m & ~rmask:
-                raise InconsistentPartitionError(
-                    f"component {sorted(iter_bits(m))} of child separator "
-                    f"{child.members} straddles the region boundary")
-            ids.append(cid)
+    for idx, (_, m) in enumerate(comps):
+        if m & region:
+            imask |= 1 << idx
             covered |= m
-    if covered != rmask:
+    if covered != region:
+        for cid, m in comps:
+            if m & region and m & ~region:
+                raise InconsistentPartitionError(
+                    f"component {cid} {tuple(iter_bits(m))} straddles the "
+                    f"region boundary")
         raise InconsistentPartitionError(
-            f"child separator {child.members} leaves region vertices "
-            f"{sorted(iter_bits(rmask & ~covered))} unreachable")
-    return frozenset(ids)
+            f"region vertices {tuple(iter_bits(region & ~covered))} are "
+            f"unreachable")
+    return imask

@@ -13,47 +13,25 @@ traceback replays winning choices into a creation order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import InconsistentPartitionError, InfeasibleError
 from .graphs import (
     BackboneTree,
-    Clique,
     KTree,
     TreeDecomposition,
     UndirectedGraph,
     build_tree_decomposition,
     iter_bits,
+    iter_cliques,
     mask_of,
     require_retaining,
     validate_backbone,
-    validate_ktree,
 )
 from .information import JointTable, SampleMatrix, ScoreOracle, mutual_information
-from .separation import component_count_bound, components_masks
+from .separation import component_count_bound, components_masks, region_components
 
 _MISSING = object()
-
-# pivot ids sit in the low bits of score-memo keys; 7 bits is plenty
-_ID_SHIFT = 7
-
-
-@dataclass(frozen=True)
-class DPKey:
-    """Table address: a clique and the component ids still open below it."""
-
-    clique: Clique
-    ids: frozenset
-
-
-@dataclass(frozen=True)
-class DPEntry:
-    """Table cell: best value (None = forbidden/infeasible) and the
-    (covered ids, pivot, dropped vertex) choice achieving it."""
-
-    value: object
-    choice: object
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +49,6 @@ class _DPSolver:
 
     def __init__(self, g: UndirectedGraph, h: BackboneTree, k: int,
                  oracle: ScoreOracle):
-        self.g = g
         self.h = h
         self.k = k
         self.oracle = oracle
@@ -81,6 +58,9 @@ class _DPSolver:
         self._bound = component_count_bound(max(h.max_degree(), 1), k)
         # states pack (clique mask, component index mask) into one int
         self._ishift = self._bound
+        # score-memo keys pack (base mask, pivot) with the pivot in the
+        # low bits, which must hold every vertex id
+        self._pshift = self.n.bit_length()
         self._comp_cache = {}
         self._table = {}
         self._tchoice = {}
@@ -99,7 +79,7 @@ class _DPSolver:
         return comps
 
     def _score(self, basemask, w):
-        key = (basemask << _ID_SHIFT) | w
+        key = (basemask << self._pshift) | w
         val = self._scores.get(key, _MISSING)
         if val is _MISSING:
             val = self.oracle.score(w, tuple(iter_bits(basemask)))
@@ -174,21 +154,7 @@ class _DPSolver:
                 if fs is None:
                     continue
                 childmask = basemask | wbit
-                childimask = 0
-                covered = 0
-                for idx, (kid, kmask) in enumerate(self._components(childmask)):
-                    if not kmask & rem:
-                        continue
-                    if kmask & ~rem:
-                        raise InconsistentPartitionError(
-                            f"component {kid} of clique "
-                            f"{tuple(iter_bits(childmask))} straddles its region")
-                    childimask |= 1 << idx
-                    covered |= kmask
-                if covered != rem:
-                    raise InconsistentPartitionError(
-                        f"clique {tuple(iter_bits(childmask))} leaves region "
-                        f"vertices {tuple(iter_bits(rem & ~covered))} unreachable")
+                childimask = region_components(self._components(childmask), rem)
                 sub = self._solve(childmask, childimask)
                 if sub is None:
                     continue
@@ -206,10 +172,7 @@ class _DPSolver:
         best = None
         best_members = None
         best_rs = None
-        for members in itertools.combinations(range(n), k + 1):
-            if not all(self.gadj[u] >> v & 1
-                       for u, v in itertools.combinations(members, 2)):
-                continue
+        for members in iter_cliques(self.gadj, k + 1):
             rs = self.oracle.root_score(members)
             if rs is None:
                 continue
@@ -227,20 +190,17 @@ class _DPSolver:
             raise InfeasibleError(self._diagnose())
         order = self._emit(best_members)
         ktree = KTree.from_creation_order(n, k, order)
-        err = validate_ktree(ktree)
-        if err is not None:
-            raise RuntimeError(f"solver produced an invalid k-tree: {err}")
+        try:
+            dec = build_tree_decomposition(ktree)
+        except ValueError as exc:
+            raise RuntimeError(f"solver output rejected: {exc}") from exc
         require_retaining(ktree, self.h)
-        dec = build_tree_decomposition(ktree)
         # recompute the score along the decomposition so rescoring the
         # output reproduces it bit for bit
-        score = best_rs
-        for node in dec.nodes[1:]:
-            w = dec.pivot[node]
-            fs = self._score(mask_of(node.members) ^ (1 << w), w)
-            if fs is None:
-                raise RuntimeError("forbidden score on the winning path")
-            score += fs
+        score = _tree_score(dec, best_rs,
+                            lambda w, base: self._score(mask_of(base), w))
+        if score is None:
+            raise RuntimeError("forbidden score on the winning path")
         return SolveResult(ktree, dec, score, best_rs)
 
     def _emit(self, members):
@@ -262,31 +222,17 @@ class _DPSolver:
         return order
 
     def _diagnose(self):
-        if self.n <= 32 and self.k <= 4:
-            for u, v in sorted(self.h.edges):
-                common = self.gadj[u] & self.gadj[v]
-                if not any(self.g.is_clique(extra) for extra in
-                           itertools.combinations(iter_bits(common), self.k - 1)):
-                    return (f"infeasible: backbone edge ({u}, {v}) lies in no "
-                            f"{self.k + 1}-clique of the host graph")
+        # one pass over the (k+1)-cliques marks every host pair they cover
+        covered = [0] * self.n
+        for members in iter_cliques(self.gadj, self.k + 1):
+            cmask = mask_of(members)
+            for v in members:
+                covered[v] |= cmask
+        for u, v in sorted(self.h.edges):
+            if not covered[u] >> v & 1:
+                return (f"infeasible: backbone edge ({u}, {v}) lies in no "
+                        f"{self.k + 1}-clique of the host graph")
         return "infeasible: no spanning k-tree of the host graph retains the backbone"
-
-    def table_snapshot(self):
-        """Computed states as DPKey -> DPEntry, for inspection and tests."""
-        out = {}
-        low = (1 << self._ishift) - 1
-        for key, value in self._table.items():
-            cmask = key >> self._ishift
-            imask = key & low
-            comps = self._components(cmask)
-            ids = frozenset(comps[idx][0] for idx in iter_bits(imask))
-            choice = None
-            cover = self._tchoice.get(key)
-            if cover is not None:
-                w, x, _, _ = self._bchoice[(cmask << self._ishift) | cover]
-                choice = (tuple(comps[idx][0] for idx in iter_bits(cover)), w, x)
-            out[DPKey(Clique.of(iter_bits(cmask)), ids)] = DPEntry(value, choice)
-        return out
 
 
 def _index_tuple(mask):
@@ -311,6 +257,32 @@ def solve_retaining_mskt(g: UndirectedGraph, h: BackboneTree, k: int,
     return _DPSolver(g, h, k, oracle).solve()
 
 
+def _tree_score(dec: TreeDecomposition, root_score, score):
+    """root_score plus score(pivot, base) for every non-root clique of
+    dec, or None once any of them is forbidden."""
+    if root_score is None:
+        return None
+    total = root_score
+    for node in dec.nodes[1:]:
+        w = dec.pivot[node]
+        fs = score(w, tuple(v for v in node.members if v != w))
+        if fs is None:
+            return None
+        total += fs
+    return total
+
+
+def _rescore(t: KTree, h: BackboneTree, oracle: ScoreOracle):
+    """Decomposition, root score and total score of a retaining k-tree;
+    building the decomposition validates t."""
+    if t.n == t.k:
+        raise ValueError("k-tree equals its seed clique, nothing to score")
+    dec = build_tree_decomposition(t)
+    require_retaining(t, h)
+    rs = oracle.root_score(dec.root.members)
+    return dec, rs, _tree_score(dec, rs, oracle.score)
+
+
 def score_ktree(t: KTree, h: BackboneTree, oracle: ScoreOracle):
     """Total clique score of a k-tree: root score plus one pivot score
     per non-root clique. Returns None when any configuration on the
@@ -319,32 +291,15 @@ def score_ktree(t: KTree, h: BackboneTree, oracle: ScoreOracle):
     The k-tree must be valid and must retain the backbone; n == k is
     rejected since there is no clique to score.
     """
-    err = validate_ktree(t)
-    if err is not None:
-        raise ValueError(f"invalid k-tree: {err}")
-    require_retaining(t, h)
-    if t.n == t.k:
-        raise ValueError("k-tree equals its seed clique, nothing to score")
-    dec = build_tree_decomposition(t)
-    total = oracle.root_score(dec.root.members)
-    if total is None:
-        return None
-    for node in dec.nodes[1:]:
-        w = dec.pivot[node]
-        fs = oracle.score(w, tuple(v for v in node.members if v != w))
-        if fs is None:
-            return None
-        total += fs
-    return total
+    return _rescore(t, h, oracle)[2]
 
 
 def rescore_result(t: KTree, h: BackboneTree, oracle: ScoreOracle) -> SolveResult:
     """Package an existing retaining k-tree as a SolveResult."""
-    total = score_ktree(t, h, oracle)
+    dec, rs, total = _rescore(t, h, oracle)
     if total is None:
         raise InfeasibleError("k-tree hits a forbidden configuration")
-    dec = build_tree_decomposition(t)
-    return SolveResult(t, dec, total, oracle.root_score(dec.root.members))
+    return SolveResult(t, dec, total, rs)
 
 
 def chow_liu(source) -> KTree:

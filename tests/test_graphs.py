@@ -20,8 +20,8 @@ from ktspan import (
     validate_ktree,
 )
 from ktspan.errors import NotRetainingError
-from ktspan.generate import random_ktree
-from ktspan.graphs import iter_bits, mask_of, normalize_edge
+from ktspan.generate import gnp_graph, random_ktree
+from ktspan.graphs import iter_bits, iter_cliques, mask_of, normalize_edge
 
 
 def tri():
@@ -68,6 +68,20 @@ def test_graph_basics():
     assert UndirectedGraph.complete(5).is_clique(range(5))
     with pytest.raises(ValueError):
         UndirectedGraph(3, [(0, 4)])
+
+
+def test_iter_cliques_matches_the_subset_scan():
+    rng = np.random.default_rng(11)
+    graphs = [UndirectedGraph(0, []), UndirectedGraph(6, [])]
+    graphs += [gnp_graph(int(rng.integers(1, 12)), float(rng.random()), rng)
+               for _ in range(200)]
+    for g in graphs:
+        for s in range(1, 5):
+            scan = [c for c in itertools.combinations(range(g.n), s)
+                    if g.is_clique(c)]
+            assert list(iter_cliques(g.adj, s)) == scan
+    with pytest.raises(ValueError):
+        iter_cliques([0, 0], 0)
 
 
 def test_graph_weights():

@@ -1,4 +1,5 @@
-"""Backbone separation: components, feasibility, child id sets."""
+"""Backbone separation: components, their bound, and how a child
+separator partitions the region its branch enters."""
 
 import itertools
 
@@ -8,15 +9,14 @@ import pytest
 from ktspan import (
     BackboneTree,
     Clique,
-    child_id_set,
     component_count_bound,
-    feasible_drop,
     path_backbone,
     separate,
 )
 from ktspan.errors import InconsistentPartitionError
 from ktspan.generate import random_backbone
-from ktspan.separation import components_masks
+from ktspan.graphs import iter_bits, mask_of
+from ktspan.separation import components_masks, region_components
 
 
 def star5():
@@ -65,54 +65,54 @@ def test_components_masks_named_by_minimum():
     assert [cid for cid, _ in comps] == sorted(cid for cid, _ in comps)
 
 
-def test_feasible_drop_examples():
-    h = path_backbone(4)
-    parent = Clique.of(0, 1, 2)
-    assert not feasible_drop(h, parent, 2, {3})  # backbone edge (2, 3)
-    assert feasible_drop(h, parent, 0, {3})
-    h5 = path_backbone(5)
-    assert feasible_drop(h5, Clique.of(1, 2, 3), 1, {4})
-    # region may be a bitmask too
-    assert feasible_drop(h5, Clique.of(1, 2, 3), 1, 0b10000)
+def child_ids(h, child, region, pivot):
+    """Ids of the components of h minus child that partition region
+    minus the pivot, via region_components."""
+    comps = components_masks(h.adj, h.n, mask_of(child))
+    imask = region_components(comps, mask_of(region) & ~(1 << pivot))
+    return frozenset(comps[idx][0] for idx in iter_bits(imask))
 
 
-def test_feasible_drop_requires_membership():
-    with pytest.raises(ValueError):
-        feasible_drop(path_backbone(4), Clique.of(0, 1, 2), 3, {3})
-
-
-def test_child_id_set_path_examples():
+def test_region_components_path_examples():
     h = path_backbone(5)
-    ids = child_id_set(h, Clique.of(1, 2, 3), frozenset({3, 4}), 3)
-    assert ids == frozenset({4})
+    assert child_ids(h, (1, 2, 3), {3, 4}, 3) == frozenset({4})
     h6 = path_backbone(6)
-    ids = child_id_set(h6, Clique.of(2, 3, 4), frozenset({4, 5}), 4)
-    assert ids == frozenset({5})
+    assert child_ids(h6, (2, 3, 4), {4, 5}, 4) == frozenset({5})
 
 
-def test_child_id_set_singleton_region():
-    ids = child_id_set(path_backbone(4), Clique.of(1, 2, 3), frozenset({3}), 3)
-    assert ids == frozenset()
+def test_region_components_singleton_region():
+    assert child_ids(path_backbone(4), (1, 2, 3), {3}, 3) == frozenset()
 
 
-def test_child_id_set_union_region():
+def test_region_components_union_region():
     """A branch may take over several components at once; the child ids
     then partition the union minus the pivot."""
     h = star5()
-    parent = Clique.of(1, 2)  # k=1 style separator
-    region = frozenset({3, 4})  # two components of H - parent, bridged below
-    ids = child_id_set(h, Clique.of(2, 3), region, 3)
-    assert ids == frozenset({4})
+    # {3, 4} are two components of H - {1, 2}, bridged below
+    assert child_ids(h, (2, 3), {3, 4}, 3) == frozenset({4})
 
 
-def test_child_id_set_straddle_is_rejected():
+def test_region_components_index_mask():
+    # removing {2, 3} from the path 0..6 leaves {0, 1} and {4, 5, 6}
+    comps = components_masks(path_backbone(7).adj, 7, 0b0001100)
+    assert region_components(comps, 0b1110000) == 0b10
+    assert region_components(comps, 0b1110011) == 0b11
+    assert region_components(comps, 0) == 0
+
+
+def test_region_components_straddle_is_rejected():
     # star center 0: dropping the center strands its far leaves, the
     # resulting component crosses the region boundary
     h = BackboneTree(5, [(0, 1), (0, 2), (0, 3), (0, 4)], 4)
-    region = frozenset({3, 4})
-    assert not feasible_drop(h, Clique.of(0, 1, 2), 0, region)
     with pytest.raises(InconsistentPartitionError, match="straddles"):
-        child_id_set(h, Clique.of(1, 2, 3), region, 3)
+        child_ids(h, (1, 2, 3), {3, 4}, 3)
+
+
+def test_region_components_unreachable_region_is_rejected():
+    # the region names a separator vertex, which no component holds
+    h = path_backbone(5)
+    with pytest.raises(InconsistentPartitionError, match=r"\(2,\) are unreachable"):
+        child_ids(h, (1, 2), {2, 3, 4, 0}, 0)
 
 
 def test_separation_bound_random_trees():

@@ -145,6 +145,25 @@ def test_memoization_does_not_change_the_answer():
         assert res.ktree.edges == ref.ktree.edges
 
 
+def test_pivots_above_127_keep_distinct_memo_keys():
+    # backbone 129-0-1-...-128: only the root (0, 129) attaches 1 to 0
+    # without also attaching 129 to 0
+    n = 130
+    edges = [(0, 129)] + [(i, i + 1) for i in range(128)]
+    h = BackboneTree(n, edges)
+    g = UndirectedGraph(n, edges)
+    roots = {tuple(sorted(e)): 0.0 for e in edges}
+    pivots = {}
+    for u, v in edges:
+        pivots[(u, (v,))] = 0.0
+        pivots[(v, (u,))] = 0.0
+    pivots[(1, (0,))] = 100.0
+    pivots[(129, (0,))] = -100.0
+    res = solve_retaining_mskt(g, h, 1, ExplicitScoreOracle(1, roots, pivots))
+    assert res.score == 100.0
+    assert res.decomposition.root.members == (0, 129)
+
+
 def test_score_ktree_hand_sum():
     t = KTree.from_creation_order(
         4, 2, [(0, ()), (1, (0,)), (2, (0, 1)), (3, (1, 2))])
@@ -204,23 +223,23 @@ def test_infeasible_diagnostic_names_a_backbone_edge():
         solve_retaining_mskt(g, h, 2, oracle)
 
 
+def test_infeasible_diagnostic_beyond_small_instances():
+    # path plus distance-2 chords; without (19, 21) and (20, 22) no
+    # triangle holds the backbone edge (20, 21)
+    n = 40
+    h = path_backbone(n)
+    chords = [(i, i + 2) for i in range(n - 2) if i not in (19, 20)]
+    g = UndirectedGraph(n, list(h.edges) + chords)
+    oracle = random_explicit_scores(g, 2, np.random.default_rng(5))
+    with pytest.raises(InfeasibleError, match=r"backbone edge \(20, 21\) lies in no 3-clique"):
+        solve_retaining_mskt(g, h, 2, oracle)
+
+
 def test_all_forbidden_is_infeasible():
     g = UndirectedGraph.complete(4)
     oracle = ExplicitScoreOracle(2, {}, {})
     with pytest.raises(InfeasibleError):
         solve_retaining_mskt(g, path_backbone(4), 2, oracle)
-
-
-def test_table_snapshot_is_consistent():
-    g, h, oracle = seeded_instance(7, 6, 2)
-    s = solver_mod._DPSolver(g, h, 2, oracle)
-    s.solve()
-    snap = s.table_snapshot()
-    assert snap
-    for key, entry in snap.items():
-        assert len(key.clique) == 3
-        if entry.value is not None and key.ids:
-            assert entry.choice is not None
 
 
 def test_chow_liu_two_variables():
