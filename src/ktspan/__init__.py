@@ -14,7 +14,6 @@ from .graphs import (
     TreeDecomposition,
     UndirectedGraph,
     build_tree_decomposition,
-    derive_precursor,
     normalize_edge,
     path_backbone,
     reroot,
@@ -23,12 +22,7 @@ from .graphs import (
     validate_backbone,
     validate_ktree,
 )
-from .separation import (
-    ComponentMap,
-    component_count_bound,
-    components_masks,
-    separate,
-)
+from .separation import component_count_bound, components_masks
 from .information import (
     ConditionalTable,
     ExplicitScoreOracle,

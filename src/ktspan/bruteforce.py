@@ -25,7 +25,6 @@ from .graphs import (
     require_retaining,
     reroot,
     validate_backbone,
-    validate_ktree,
 )
 from .information import JointTable, kl_divergence, markov_ktree_distribution
 from .solver import score_ktree
@@ -124,9 +123,6 @@ def enumerate_retaining_ktrees(g: UndirectedGraph, h, k: int) -> EnumerationRepo
         entries.reverse()
         order = [(s, seed[:j]) for j, s in enumerate(seed)] + entries
         t = KTree.from_creation_order(n, k, order)
-        err = validate_ktree(t)
-        if err is not None:
-            raise RuntimeError(f"enumeration produced an invalid k-tree: {err}")
         if h is not None:
             require_retaining(t, h)
         instances.append(t)
@@ -145,9 +141,6 @@ def best_rooted_score(t: KTree, h: BackboneTree, oracle):
     covers every achievable score. Returns (score, witness KTree) for
     the best construction, or (None, None) when every one is forbidden.
     """
-    err = validate_ktree(t)
-    if err is not None:
-        raise ValueError(f"invalid k-tree: {err}")
     require_retaining(t, h)
     if t.n == t.k:
         raise ValueError("k-tree equals its seed clique, nothing to score")

@@ -12,8 +12,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import fileio
 from .bruteforce import brute_max_score, enumerate_retaining_ktrees
 from .errors import (
@@ -23,7 +21,7 @@ from .errors import (
     NotRetainingError,
 )
 from .generate import gen_instance
-from .information import MAX_TABLE_CELLS, build_mi_oracle, kl_divergence, markov_ktree_distribution, materialize_scores
+from .information import build_mi_oracle, kl_divergence, markov_ktree_distribution, materialize_scores
 from .reduction import decide_kclique
 from .solver import chow_liu, rescore_result, solve_retaining_mskt
 
@@ -102,10 +100,6 @@ def cmd_chowliu(args) -> int:
 def cmd_kl(args) -> int:
     p = fileio.load_joint(args.joint)
     t, _ = fileio.load_result_ktree(args.result)
-    if int(np.prod(p.table.shape)) > MAX_TABLE_CELLS:
-        raise InstanceTooLargeError(
-            f"assignment space has {int(np.prod(p.table.shape))} cells "
-            f"(limit {MAX_TABLE_CELLS})")
     pg = markov_ktree_distribution(t, p)
     print(f"{kl_divergence(p, pg):.6f}")
     return 0

@@ -11,8 +11,9 @@ import json
 
 import numpy as np
 
-from .graphs import BackboneTree, KTree, UndirectedGraph, normalize_edge, validate_ktree
-from .information import ExplicitScoreOracle, JointTable, SampleMatrix
+from .errors import InstanceTooLargeError
+from .graphs import BackboneTree, KTree, UndirectedGraph, normalize_edge
+from .information import MAX_TABLE_CELLS, ExplicitScoreOracle, JointTable, SampleMatrix
 from .solver import SolveResult
 
 
@@ -36,6 +37,22 @@ def _require(obj, key, path):
     return obj[key]
 
 
+def _edge_list(value, key, path):
+    if not isinstance(value, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)
+            for e in value):
+        raise ValueError(f'{path}: "{key}" must be a list of [u, v] integer pairs')
+    return [tuple(e) for e in value]
+
+
+def _number_map(value, key, path):
+    if not isinstance(value, dict) or not all(
+            isinstance(s, (int, float)) and not isinstance(s, bool)
+            for s in value.values()):
+        raise ValueError(f'{path}: "{key}" must be an object of numbers')
+    return value
+
+
 def load_graph(path):
     """Read a graph file; returns (UndirectedGraph, BackboneTree | None).
 
@@ -44,18 +61,18 @@ def load_graph(path):
     """
     obj = _load_json(path)
     n = int(_require(obj, "n", path))
-    edges = [tuple(e) for e in _require(obj, "edges", path)]
+    edges = _edge_list(_require(obj, "edges", path), "edges", path)
     weights = None
     if obj.get("weights") is not None:
         weights = {}
-        for key, w in obj["weights"].items():
+        for key, w in _number_map(obj["weights"], "weights", path).items():
             u, _, v = key.partition(",")
             weights[(int(u), int(v))] = float(w)
     g = UndirectedGraph(n, edges, weights)
     h = None
     if obj.get("backbone") is not None:
         bound = obj.get("degree_bound")
-        h = BackboneTree(n, [tuple(e) for e in obj["backbone"]],
+        h = BackboneTree(n, _edge_list(obj["backbone"], "backbone", path),
                          int(bound) if bound is not None else None)
         if h.degree_bound is None:
             h = BackboneTree(n, h.edges, h.max_degree())
@@ -78,10 +95,10 @@ def load_scores(path) -> ExplicitScoreOracle:
     obj = _load_json(path)
     k = int(_require(obj, "k", path))
     root = {}
-    for key, s in obj.get("root", {}).items():
+    for key, s in _number_map(obj.get("root", {}), "root", path).items():
         root[tuple(int(x) for x in key.split(","))] = float(s)
     pivot = {}
-    for key, s in obj.get("pivot", {}).items():
+    for key, s in _number_map(obj.get("pivot", {}), "pivot", path).items():
         wpart, _, cpart = key.partition("|")
         pivot[(int(wpart), tuple(int(x) for x in cpart.split(",")))] = float(s)
     return ExplicitScoreOracle(k, root, pivot)
@@ -131,6 +148,12 @@ def load_joint(path) -> JointTable:
     probs = _require(obj, "probs", path)
     if len(variables) != len(alphabets):
         raise ValueError(f"{path}: vars and alphabets differ in length")
+    cells = 1
+    for a in alphabets:
+        cells *= a
+    if cells > MAX_TABLE_CELLS:
+        raise InstanceTooLargeError(
+            f"{path}: assignment space has {cells} cells (limit {MAX_TABLE_CELLS})")
     table = np.zeros(tuple(alphabets))
     for key, p in probs.items():
         idx = tuple(int(x) for x in key.split(","))
@@ -203,10 +226,10 @@ def load_result_ktree(path):
     order.append((root[k], tuple(root[:k])))
     for item in _require(obj, "cliques", path):
         order.append((int(item["pivot"]), tuple(int(b) for b in item["base"])))
-    t = KTree.from_creation_order(len(order), k, order)
-    err = validate_ktree(t)
-    if err is not None:
-        raise ValueError(f"{path} does not encode a valid k-tree: {err}")
+    try:
+        t = KTree.from_creation_order(len(order), k, order)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     edges = {normalize_edge(int(u), int(v)) for u, v in _require(obj, "edges", path)}
     if edges != t.edges:
         raise ValueError(f"{path}: edge list disagrees with the clique list")

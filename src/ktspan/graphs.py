@@ -236,8 +236,11 @@ class KTree:
     creation_order is a tuple of (vertex, base) pairs. The first k
     entries lay down the seed clique, entry j attaching to the j
     earlier seed vertices, and every later entry attaches a new vertex
-    to an existing k-clique. Equality and hashing ignore the creation
-    order: two k-trees are equal iff n, k, and the edge set agree.
+    to an existing k-clique. The constructor runs validate_ktree and
+    raises ValueError on any violation, so every KTree that exists is
+    a valid k-tree whose edge set its creation order replays. Equality
+    and hashing ignore the creation order: two k-trees are equal iff
+    n, k, and the edge set agree.
     """
 
     __slots__ = ("n", "k", "edges", "creation_order", "_hash")
@@ -249,6 +252,9 @@ class KTree:
         self.creation_order = tuple((v, tuple(sorted(base)))
                                     for v, base in creation_order)
         self._hash = None
+        err = validate_ktree(self)
+        if err is not None:
+            raise ValueError(f"invalid k-tree: {err}")
 
     @classmethod
     def from_creation_order(cls, n: int, k: int, creation_order) -> "KTree":
@@ -285,7 +291,8 @@ def validate_ktree(t: KTree):
     """Check the creation order witnesses a k-tree with t's edge set.
 
     Returns None when valid, otherwise a message describing the first
-    violation found.
+    violation found. KTree's constructor runs this check, so it holds
+    for every constructed KTree.
     """
     n, k = t.n, t.k
     if not 1 <= k <= n:
@@ -355,9 +362,6 @@ class TreeDecomposition:
 
 
 def build_tree_decomposition(t: KTree) -> TreeDecomposition:
-    err = validate_ktree(t)
-    if err is not None:
-        raise ValueError(f"invalid k-tree: {err}")
     if t.n <= t.k:
         raise ValueError("k-tree has no (k+1)-cliques, decomposition undefined")
     nodes = []
@@ -377,14 +381,6 @@ def build_tree_decomposition(t: KTree) -> TreeDecomposition:
     return TreeDecomposition(tuple(nodes), nodes[0], parent, pivot)
 
 
-def derive_precursor(t: KTree) -> dict:
-    """Attachment set of every vertex; seed precursors form a chain."""
-    err = validate_ktree(t)
-    if err is not None:
-        raise ValueError(f"invalid k-tree: {err}")
-    return {v: frozenset(base) for v, base in t.creation_order}
-
-
 def reroot(t: KTree, root: Clique) -> KTree:
     """Rewrite t's creation order to start from the given (k+1)-clique.
 
@@ -393,9 +389,6 @@ def reroot(t: KTree, root: Clique) -> KTree:
     reverse on top of the root seed. Any (k+1)-clique of a k-tree can
     act as root, so a stall means the input was malformed.
     """
-    err = validate_ktree(t)
-    if err is not None:
-        raise ValueError(f"invalid k-tree: {err}")
     if len(root) != t.k + 1:
         raise ValueError(f"root needs {t.k + 1} vertices, got {len(root)}")
     if not all(0 <= v < t.n for v in root):

@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from .errors import InstanceTooLargeError
-from .graphs import KTree, UndirectedGraph, iter_cliques, validate_ktree
+from .graphs import KTree, UndirectedGraph, iter_cliques
 
 # dense joint tables beyond this many cells are refused
 MAX_TABLE_CELLS = 1 << 20
@@ -335,33 +335,19 @@ def markov_ktree_distribution(t: KTree, source) -> JointTable:
     marginal, which keeps each conditional row normalized and the
     result an exact distribution.
     """
-    err = validate_ktree(t)
-    if err is not None:
-        raise ValueError(f"invalid k-tree: {err}")
-    sizes = _source_sizes(source, t.n)
-    cells = 1
-    for a in sizes:
-        cells *= a
-    if cells > MAX_TABLE_CELLS:
-        raise InstanceTooLargeError(
-            f"joint table would need {cells} cells (limit {MAX_TABLE_CELLS})")
-    result = np.ones(sizes)
+    _source_sizes(source, t.n)  # refuses a source that misses a vertex
+    tables = {}
     for v, base in t.creation_order:
-        scope = sorted(set(base) | {v})
-        axis = scope.index(v)
-        joint = _marginal_array(source, scope)
-        ctx = joint.sum(axis=axis, keepdims=True)
-        marg = _marginal_array(source, (v,))
-        vshape = [1] * len(scope)
-        vshape[axis] = sizes[v]
+        # a sorted-axis marginal viewed with v last, so the context sums
+        # add in the same order whatever the source type
+        scope = tuple(sorted(base + (v,)))
+        joint = np.moveaxis(_marginal_array(source, scope), scope.index(v), -1)
+        ctx = joint.sum(axis=-1, keepdims=True)
         cond = np.where(ctx > 0,
                         joint / np.where(ctx > 0, ctx, 1.0),
-                        marg.reshape(vshape))
-        full_shape = [1] * t.n
-        for u in scope:
-            full_shape[u] = sizes[u]
-        result = result * cond.reshape(full_shape)
-    return JointTable(tuple(range(t.n)), result)
+                        _marginal_array(source, (v,)))
+        tables[v] = ConditionalTable(v, base, cond)
+    return tables_to_joint(t, tables)
 
 
 def kl_divergence(p: JointTable, q: JointTable) -> float:
@@ -426,9 +412,6 @@ def _check_tables(t: KTree, tables):
 
 def tables_to_joint(t: KTree, tables) -> JointTable:
     """Exact joint distribution defined by per-vertex conditionals."""
-    err = validate_ktree(t)
-    if err is not None:
-        raise ValueError(f"invalid k-tree: {err}")
     sizes = _check_tables(t, tables)
     shape = tuple(sizes[v] for v in range(t.n))
     cells = 1
@@ -452,9 +435,6 @@ def tables_to_joint(t: KTree, tables) -> JointTable:
 
 def sample_markov_ktree(t: KTree, tables, m: int, seed=None) -> SampleMatrix:
     """Draw m joint samples by walking the creation order."""
-    err = validate_ktree(t)
-    if err is not None:
-        raise ValueError(f"invalid k-tree: {err}")
     if m < 1:
         raise ValueError("need at least one sample")
     sizes = _check_tables(t, tables)

@@ -10,10 +10,8 @@ which is what keeps the search state space polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InconsistentPartitionError
-from .graphs import BackboneTree, Clique, iter_bits, mask_of
+from .graphs import iter_bits
 
 
 def component_count_bound(degree_bound: int, k: int) -> int:
@@ -45,33 +43,6 @@ def components_masks(adj, n: int, sep_mask: int):
         out.append((low.bit_length() - 1, comp))
         remaining &= ~comp
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class ComponentMap:
-    """Components of the backbone minus a separator.
-
-    components are frozensets ordered by smallest member. A component
-    is named by its smallest vertex; ids maps that canonical id to the
-    component's index in the components tuple.
-    """
-
-    separator: Clique
-    components: tuple
-    ids: dict
-
-    def component_of(self, cid: int) -> frozenset:
-        return self.components[self.ids[cid]]
-
-
-def separate(h: BackboneTree, sep: Clique) -> ComponentMap:
-    """Split the backbone by removing the separator's vertices."""
-    for v in sep:
-        if not 0 <= v < h.n:
-            raise ValueError(f"separator vertex {v} out of range for n={h.n}")
-    comps = components_masks(h.adj, h.n, mask_of(sep))
-    ids = {cid: i for i, (cid, _) in enumerate(comps)}
-    return ComponentMap(sep, tuple(frozenset(iter_bits(m)) for _, m in comps), ids)
 
 
 def region_components(comps, region: int) -> int:

@@ -189,11 +189,11 @@ class _DPSolver:
         if best is None:
             raise InfeasibleError(self._diagnose())
         order = self._emit(best_members)
-        ktree = KTree.from_creation_order(n, k, order)
         try:
-            dec = build_tree_decomposition(ktree)
+            ktree = KTree.from_creation_order(n, k, order)
         except ValueError as exc:
             raise RuntimeError(f"solver output rejected: {exc}") from exc
+        dec = build_tree_decomposition(ktree)
         require_retaining(ktree, self.h)
         # recompute the score along the decomposition so rescoring the
         # output reproduces it bit for bit
@@ -273,8 +273,7 @@ def _tree_score(dec: TreeDecomposition, root_score, score):
 
 
 def _rescore(t: KTree, h: BackboneTree, oracle: ScoreOracle):
-    """Decomposition, root score and total score of a retaining k-tree;
-    building the decomposition validates t."""
+    """Decomposition, root score and total score of a retaining k-tree."""
     if t.n == t.k:
         raise ValueError("k-tree equals its seed clique, nothing to score")
     dec = build_tree_decomposition(t)

@@ -166,6 +166,31 @@ def test_missing_file_and_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+GOOD_GRAPH = {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "backbone": [[0, 1], [1, 2]]}
+GOOD_SCORES = {"k": 1, "root": {"0,1": 1.0}, "pivot": {"2|1": 1.0}}
+
+
+@pytest.mark.parametrize("graph, scores", [
+    (dict(GOOD_GRAPH, edges=[["0", "1"], ["1", "2"]]), GOOD_SCORES),
+    (dict(GOOD_GRAPH, edges=5), GOOD_SCORES),
+    (dict(GOOD_GRAPH, edges=[[0.5, 1], [1, 2]]), GOOD_SCORES),
+    (dict(GOOD_GRAPH, weights=[1, 2]), GOOD_SCORES),
+    (dict(GOOD_GRAPH, weights={"0,1": [1]}), GOOD_SCORES),
+    (dict(GOOD_GRAPH, backbone=[["0", "1"], ["1", "2"]]), GOOD_SCORES),
+    (GOOD_GRAPH, dict(GOOD_SCORES, root=[1])),
+    (GOOD_GRAPH, dict(GOOD_SCORES, pivot=[1])),
+    (GOOD_GRAPH, dict(GOOD_SCORES, root={"0,1": None})),
+])
+def test_malformed_graph_and_score_files_are_data_errors(tmp_path, capsys,
+                                                         graph, scores):
+    (tmp_path / "g.json").write_text(json.dumps(graph))
+    (tmp_path / "s.json").write_text(json.dumps(scores))
+    assert main(["solve", "--graph", str(tmp_path / "g.json"),
+                 "--scores", str(tmp_path / "s.json"), "--k", "1",
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_threads_flag_never_changes_output(tmp_path, capsys):
     out = write_instance(tmp_path, 11)
     results = []

@@ -1,6 +1,7 @@
 """File formats: graphs, scores, samples, joints, results, DOT."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ktspan import (
     path_backbone,
     solve_retaining_mskt,
 )
+from ktspan.errors import InstanceTooLargeError
 from ktspan.fileio import (
     ktree_to_dot,
     load_graph,
@@ -161,6 +163,26 @@ def test_result_round_trip(tmp_path):
         load_result_ktree(p)
 
 
+def test_result_with_broken_clique_order_names_the_path(tmp_path):
+    p = tmp_path / "truth.json"
+    save_ktree(p, KTree.from_creation_order(
+        5, 2, [(0, ()), (1, (0,)), (2, (0, 1)), (3, (1, 2)), (4, (2, 3))]))
+    obj = json.loads(p.read_text())
+    # vertex 3 now attaches to vertex 4, which comes after it
+    obj["cliques"][0]["base"] = [1, 4]
+    p.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=re.escape(f"{p}: invalid k-tree")):
+        load_result_ktree(p)
+
+
+def test_joint_size_is_refused_before_allocating(tmp_path):
+    p = tmp_path / "joint.json"
+    p.write_text(json.dumps({"vars": list(range(21)), "alphabets": [2] * 21,
+                             "probs": {}}))
+    with pytest.raises(InstanceTooLargeError, match="2097152 cells"):
+        load_joint(p)
+
+
 def test_ktree_file_replays(tmp_path):
     p = tmp_path / "truth.json"
     t = random_ktree(6, 2, np.random.default_rng(84))
@@ -193,9 +215,9 @@ def test_dot_k1_edges_are_the_backbone():
 
 
 def test_dot_isolated_vertices(tmp_path):
-    t = KTree(3, 1, set(), [(0, ()), (1, ()), (2, ())])
+    t = KTree(1, 1, set(), [(0, ())])
     dot = ktree_to_dot(t)
-    assert "  0;" in dot and "  2;" in dot
+    assert dot == "graph ktree {\n  0;\n}\n"
     out = tmp_path / "t.dot"
     save_dot(out, t)
     assert out.read_text() == dot

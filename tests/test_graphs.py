@@ -11,7 +11,6 @@ from ktspan import (
     KTree,
     UndirectedGraph,
     build_tree_decomposition,
-    derive_precursor,
     path_backbone,
     require_retaining,
     reroot,
@@ -104,20 +103,19 @@ def test_validate_ktree_accepts_known_shapes():
 def test_validate_ktree_rejects_cycle():
     # C5 has 5 edges, a 2-tree on 5 vertices needs 1 + 2*3 = 7
     order = [(0, ()), (1, (0,)), (2, (0, 1)), (3, (1, 2)), (4, (2, 3))]
-    c5 = KTree(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], order)
-    msg = validate_ktree(c5)
-    assert msg is not None and "edge count" in msg
+    with pytest.raises(ValueError, match="invalid k-tree: edge count"):
+        KTree(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], order)
 
 
 def test_validate_ktree_rejects_bad_orders():
-    repeated_vertex = KTree.from_creation_order(
-        4, 2, [(0, ()), (1, (0,)), (2, (0, 1)), (2, (0, 1))])
-    assert validate_ktree(repeated_vertex) is not None
-    not_clique = KTree.from_creation_order(
-        5, 2, [(0, ()), (1, (0,)), (2, (0, 1)), (3, (0, 1)), (4, (2, 3))])
-    assert "not a clique" in validate_ktree(not_clique)
-    short = KTree.from_creation_order(4, 2, [(0, ()), (1, (0,)), (2, (0, 1))])
-    assert validate_ktree(short) is not None
+    with pytest.raises(ValueError, match="invalid k-tree"):
+        KTree.from_creation_order(
+            4, 2, [(0, ()), (1, (0,)), (2, (0, 1)), (2, (0, 1))])
+    with pytest.raises(ValueError, match="not a clique"):
+        KTree.from_creation_order(
+            5, 2, [(0, ()), (1, (0,)), (2, (0, 1)), (3, (0, 1)), (4, (2, 3))])
+    with pytest.raises(ValueError, match="invalid k-tree"):
+        KTree.from_creation_order(4, 2, [(0, ()), (1, (0,)), (2, (0, 1))])
 
 
 def test_ktree_identity_is_edge_set():
@@ -188,26 +186,6 @@ def test_decomposition_running_intersection():
                 assert v in dec.parent[c].members
         for c in dec.nodes[1:]:
             assert index[dec.parent[c]] < index[c]
-
-
-def test_derive_precursor_examples():
-    pre = derive_precursor(tri())
-    assert pre == {0: frozenset(), 1: frozenset({0}), 2: frozenset({0, 1})}
-    assert derive_precursor(k4_minus_03())[3] == frozenset({1, 2})
-    path = KTree.from_creation_order(3, 1, [(0, ()), (1, (0,)), (2, (1,))])
-    assert derive_precursor(path) == {
-        0: frozenset(), 1: frozenset({0}), 2: frozenset({1})}
-
-
-def test_precursor_replay_round_trip():
-    rng = np.random.default_rng(2)
-    for _ in range(30):
-        k = int(rng.integers(1, 4))
-        n = int(rng.integers(k + 1, 9))
-        t = random_ktree(n, k, rng)
-        pre = derive_precursor(t)
-        replayed = {normalize_edge(v, u) for v, base in pre.items() for u in base}
-        assert replayed == t.edges
 
 
 def test_reroot_preserves_edges_any_clique_root():

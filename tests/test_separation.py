@@ -6,13 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ktspan import (
-    BackboneTree,
-    Clique,
-    component_count_bound,
-    path_backbone,
-    separate,
-)
+from ktspan import BackboneTree, component_count_bound, path_backbone
 from ktspan.errors import InconsistentPartitionError
 from ktspan.generate import random_backbone
 from ktspan.graphs import iter_bits, mask_of
@@ -34,27 +28,23 @@ def test_component_count_bound_values():
         component_count_bound(2, 0)
 
 
+def components(h, sep):
+    """(id, vertex set) of each component of h minus sep, in the order
+    components_masks lists them."""
+    return [(cid, frozenset(iter_bits(m)))
+            for cid, m in components_masks(h.adj, h.n, mask_of(sep))]
+
+
 def test_separate_path_interior():
-    cm = separate(path_backbone(5), Clique.of(1, 2))
-    assert cm.components == (frozenset({0}), frozenset({3, 4}))
-    assert set(cm.ids) == {0, 3}
-    assert cm.component_of(3) == frozenset({3, 4})
+    assert components(path_backbone(5), (1, 2)) == [(0, {0}), (3, {3, 4})]
 
 
 def test_separate_path_endpoints():
-    cm = separate(path_backbone(5), Clique.of(0, 4))
-    assert cm.components == (frozenset({1, 2, 3}),)
-    assert set(cm.ids) == {1}
+    assert components(path_backbone(5), (0, 4)) == [(1, {1, 2, 3})]
 
 
 def test_separate_star_center():
-    cm = separate(star5(), Clique.of(2, 0))
-    assert cm.components == (frozenset({1}), frozenset({3}), frozenset({4}))
-
-
-def test_separate_out_of_range():
-    with pytest.raises(ValueError):
-        separate(path_backbone(4), Clique.of(2, 5))
+    assert components(star5(), (2, 0)) == [(1, {1}), (3, {3}), (4, {4})]
 
 
 def test_components_masks_named_by_minimum():
@@ -122,9 +112,8 @@ def test_separation_bound_random_trees():
         k = int(rng.integers(1, 4))
         n = int(rng.integers(k + 2, 14))
         h = random_backbone(n, d, rng)
-        sep = rng.choice(n, size=k + 1, replace=False)
-        cm = separate(h, Clique.of(*(int(v) for v in sep)))
-        assert len(cm.components) <= component_count_bound(d, k)
+        sep = [int(v) for v in rng.choice(n, size=k + 1, replace=False)]
+        comps = [c for _, c in components(h, sep)]
+        assert len(comps) <= component_count_bound(d, k)
         # components partition the leftover vertices
-        rest = set(range(n)) - set(int(v) for v in sep)
-        assert set().union(*cm.components) == rest
+        assert set().union(*comps) == set(range(n)) - set(sep)

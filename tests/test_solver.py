@@ -185,9 +185,8 @@ def test_score_ktree_rejects_bad_input():
     oracle = ExplicitScoreOracle(2, {(0, 1, 2): 1.0}, {(3, (1, 2)): 1.0})
     with pytest.raises(NotRetainingError):
         score_ktree(t, BackboneTree(4, [(0, 3), (1, 3), (2, 3)]), oracle)
-    broken = KTree(4, 2, {(0, 1)}, t.creation_order)
     with pytest.raises(ValueError, match="invalid k-tree"):
-        score_ktree(broken, path_backbone(4), oracle)
+        KTree(4, 2, {(0, 1)}, t.creation_order)
     seed_only = KTree.from_creation_order(2, 2, [(0, ()), (1, (0,))])
     with pytest.raises(ValueError, match="nothing to score"):
         score_ktree(seed_only, path_backbone(2), oracle)
