@@ -37,6 +37,18 @@ def _require(obj, key, path):
     return obj[key]
 
 
+def _integer(value, key, path):
+    if type(value) is not int:
+        raise ValueError(f'{path}: "{key}" must be an integer')
+    return value
+
+
+def _integer_list(value, key, path):
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
+        raise ValueError(f'{path}: "{key}" must be a list of integers')
+    return value
+
+
 def _edge_list(value, key, path):
     if not isinstance(value, list) or not all(
             isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)
@@ -60,7 +72,7 @@ def load_graph(path):
     degree as the bound.
     """
     obj = _load_json(path)
-    n = int(_require(obj, "n", path))
+    n = _integer(_require(obj, "n", path), "n", path)
     edges = _edge_list(_require(obj, "edges", path), "edges", path)
     weights = None
     if obj.get("weights") is not None:
@@ -73,7 +85,8 @@ def load_graph(path):
     if obj.get("backbone") is not None:
         bound = obj.get("degree_bound")
         h = BackboneTree(n, _edge_list(obj["backbone"], "backbone", path),
-                         int(bound) if bound is not None else None)
+                         _integer(bound, "degree_bound", path)
+                         if bound is not None else None)
         if h.degree_bound is None:
             h = BackboneTree(n, h.edges, h.max_degree())
     return g, h
@@ -93,7 +106,7 @@ def save_graph(path, g: UndirectedGraph, h: BackboneTree | None = None):
 def load_scores(path) -> ExplicitScoreOracle:
     """Read explicit score tables; absent entries mean forbidden."""
     obj = _load_json(path)
-    k = int(_require(obj, "k", path))
+    k = _integer(_require(obj, "k", path), "k", path)
     root = {}
     for key, s in _number_map(obj.get("root", {}), "root", path).items():
         root[tuple(int(x) for x in key.split(","))] = float(s)
@@ -143,9 +156,9 @@ def save_samples(path, samples: SampleMatrix):
 def load_joint(path) -> JointTable:
     """Read a dense joint table; absent assignments count as zero."""
     obj = _load_json(path)
-    variables = [int(v) for v in _require(obj, "vars", path)]
-    alphabets = [int(a) for a in _require(obj, "alphabets", path)]
-    probs = _require(obj, "probs", path)
+    variables = _integer_list(_require(obj, "vars", path), "vars", path)
+    alphabets = _integer_list(_require(obj, "alphabets", path), "alphabets", path)
+    probs = _number_map(_require(obj, "probs", path), "probs", path)
     if len(variables) != len(alphabets):
         raise ValueError(f"{path}: vars and alphabets differ in length")
     cells = 1
@@ -218,19 +231,27 @@ def load_result_ktree(path):
     against the explicit edge list.
     """
     obj = _load_json(path)
-    k = int(_require(obj, "k", path))
-    root = [int(v) for v in _require(obj, "root", path)]
+    k = _integer(_require(obj, "k", path), "k", path)
+    root = _integer_list(_require(obj, "root", path), "root", path)
+    if k < 1:
+        raise ValueError(f'{path}: "k" must be at least 1')
     if len(root) != k + 1:
         raise ValueError(f"{path}: root must list {k + 1} vertices")
     order = [(v, tuple(root[:j])) for j, v in enumerate(root[:k])]
     order.append((root[k], tuple(root[:k])))
-    for item in _require(obj, "cliques", path):
-        order.append((int(item["pivot"]), tuple(int(b) for b in item["base"])))
+    cliques = _require(obj, "cliques", path)
+    if not isinstance(cliques, list) or not all(isinstance(c, dict) for c in cliques):
+        raise ValueError(f'{path}: "cliques" must be a list of objects')
+    for item in cliques:
+        pivot = _integer(_require(item, "pivot", path), "pivot", path)
+        base = _integer_list(_require(item, "base", path), "base", path)
+        order.append((pivot, tuple(base)))
     try:
         t = KTree.from_creation_order(len(order), k, order)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    edges = {normalize_edge(int(u), int(v)) for u, v in _require(obj, "edges", path)}
+    edges = {normalize_edge(u, v)
+             for u, v in _edge_list(_require(obj, "edges", path), "edges", path)}
     if edges != t.edges:
         raise ValueError(f"{path}: edge list disagrees with the clique list")
     return t, obj

@@ -128,31 +128,62 @@ def entropy(source, variables) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
-def mutual_information(source, x: int, ys) -> float:
-    """I(x ; ys) in bits, zero when ys is empty.
+class _Entropies:
+    """Joint entropies of one source, each variable subset computed once.
 
-    The entropy identity can dip a few ulp below zero; information is
-    nonnegative, so rounding noise is clamped away.
+    Keys are sorted variable tuples, so a subset has one marginal axis
+    order, and one summation order, however a caller lists it. The
+    mutual-information and total-correlation formulas live here so that
+    every caller shares both the memo and the arithmetic.
     """
-    ys = tuple(ys)
-    if x in ys:
-        raise ValueError(f"variable {x} on both sides")
-    if not ys:
-        return 0.0
-    value = (entropy(source, (x,)) + entropy(source, ys)
-             - entropy(source, (x,) + ys))
-    return max(value, 0.0)
+
+    __slots__ = ("source", "_memo")
+
+    def __init__(self, source):
+        self.source = source
+        self._memo = {}
+
+    def __call__(self, variables) -> float:
+        key = tuple(sorted(variables))
+        h = self._memo.get(key)
+        if h is None:
+            # looked up as a module global, so a wrapper bound to
+            # information.entropy sees exactly the kernel calls
+            h = self._memo[key] = entropy(self.source, key)
+        return h
+
+    def mutual_information(self, x: int, ys) -> float:
+        """I(x ; ys) in bits, zero when ys is empty.
+
+        The entropy identity can dip a few ulp below zero; information
+        is nonnegative, so rounding noise is clamped away.
+        """
+        ys = tuple(ys)
+        if x in ys:
+            raise ValueError(f"variable {x} on both sides")
+        if not ys:
+            return 0.0
+        value = self((x,)) + self(ys) - self((x,) + ys)
+        return max(value, 0.0)
+
+    def total_correlation(self, variables) -> float:
+        """Sum of marginal entropies minus the joint entropy, in bits,
+        clamped at zero like mutual_information."""
+        vs = tuple(variables)
+        value = sum(self((v,)) for v in vs) - self(vs)
+        return max(float(value), 0.0)
+
+
+def mutual_information(source, x: int, ys) -> float:
+    """I(x ; ys) in bits, zero when ys is empty; never negative, and the
+    same for every order of ys."""
+    return _Entropies(source).mutual_information(x, ys)
 
 
 def total_correlation(source, variables) -> float:
-    """Sum of marginal entropies minus the joint entropy, in bits.
-
-    Nonnegative by definition; rounding noise is clamped like in
-    mutual_information.
-    """
-    vs = tuple(variables)
-    value = sum(entropy(source, (v,)) for v in vs) - entropy(source, vs)
-    return max(float(value), 0.0)
+    """Sum of marginal entropies minus the joint entropy, in bits;
+    never negative."""
+    return _Entropies(source).total_correlation(variables)
 
 
 class ScoreOracle:
@@ -180,8 +211,8 @@ class MutualInformationOracle(ScoreOracle):
     Configurations that are not cliques of the host graph are
     forbidden. Root cliques score their total correlation, so a full
     construction sums to the total correlation of all variables split
-    across the clique tree. Values are cached, solvers ask for the
-    same attachment many times.
+    across the clique tree. Every score is built from one per-oracle
+    entropy memo, so a fit or a solve computes each subset entropy once.
     """
 
     mode = "mi"
@@ -189,29 +220,19 @@ class MutualInformationOracle(ScoreOracle):
     def __init__(self, source, g: UndirectedGraph):
         self.source = source
         self.g = g
-        self._cache = {}
-        self._root_cache = {}
+        self._entropies = _Entropies(source)
 
     def score(self, pivot, base):
         bset = frozenset(base)
-        key = (pivot, bset)
-        if key in self._cache:
-            return self._cache[key]
-        val = None
-        if pivot not in bset and self.g.is_clique(sorted(bset | {pivot})):
-            val = mutual_information(self.source, pivot, tuple(sorted(bset)))
-        self._cache[key] = val
-        return val
+        if pivot in bset or not self.g.is_clique(sorted(bset | {pivot})):
+            return None
+        return self._entropies.mutual_information(pivot, bset)
 
     def root_score(self, clique):
         members = tuple(sorted(clique))
-        if members in self._root_cache:
-            return self._root_cache[members]
-        val = None
-        if self.g.is_clique(members):
-            val = total_correlation(self.source, members)
-        self._root_cache[members] = val
-        return val
+        if not self.g.is_clique(members):
+            return None
+        return self._entropies.total_correlation(members)
 
 
 def build_mi_oracle(source, g: UndirectedGraph, k: int) -> MutualInformationOracle:

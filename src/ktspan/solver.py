@@ -28,7 +28,7 @@ from .graphs import (
     require_retaining,
     validate_backbone,
 )
-from .information import JointTable, SampleMatrix, ScoreOracle, mutual_information
+from .information import JointTable, SampleMatrix, ScoreOracle, _Entropies
 from .separation import component_count_bound, components_masks, region_components
 
 _MISSING = object()
@@ -306,7 +306,8 @@ def chow_liu(source) -> KTree:
 
     Kruskal over all pairs, heaviest first, ties toward the
     lexicographically smaller edge; the creation order is a
-    breadth-first walk from vertex 0.
+    breadth-first walk from vertex 0. The pairs share one entropy memo,
+    so each variable and each pair is estimated once.
     """
     if isinstance(source, SampleMatrix):
         n = source.n
@@ -318,7 +319,8 @@ def chow_liu(source) -> KTree:
         raise TypeError(f"unsupported source type {type(source).__name__}")
     if n < 2:
         raise ValueError("need at least 2 variables")
-    pairs = sorted((-mutual_information(source, u, (v,)), u, v)
+    entropies = _Entropies(source)
+    pairs = sorted((-entropies.mutual_information(u, (v,)), u, v)
                    for u in range(n) for v in range(u + 1, n))
     parent = list(range(n))
 

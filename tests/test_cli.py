@@ -76,25 +76,34 @@ def test_fit_independent_columns_near_zero(tmp_path):
 
 
 def test_fit_solve_round_trip_matches_library(tmp_path, capsys):
-    out = write_instance(tmp_path, 7)
+    out = write_instance(tmp_path, 7, n=8, samples=5000)
     assert main(["fit", "--samples", str(out / "samples.csv"),
                  "--graph", str(out / "graph.json"),
                  "--k", "2", "--out", str(out / "scores.json")]) == 0
     assert main(["solve", "--graph", str(out / "graph.json"),
                  "--scores", str(out / "scores.json"), "--k", "2",
                  "--out", str(out / "result.json")]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
+    stdout = capsys.readouterr().out
+    lines = stdout.strip().splitlines()
     assert lines[0].startswith("score ")
     assert lines[1].startswith("root ")
     assert lines[2].startswith("root_score ")
 
+    # fitted scores and scores estimated during the solve are the same
+    # floats, so both routes print and write the same bytes
+    assert main(["solve", "--graph", str(out / "graph.json"),
+                 "--samples", str(out / "samples.csv"), "--k", "2",
+                 "--out", str(out / "direct.json")]) == 0
+    assert capsys.readouterr().out == stdout
+    assert (out / "direct.json").read_bytes() == (out / "result.json").read_bytes()
+
     g, h = load_graph(out / "graph.json")
     samples = load_samples(out / "samples.csv")
     ref = solve_retaining_mskt(g, h, 2, build_mi_oracle(samples, g, 2))
-    assert float(lines[0].split()[1]) == pytest.approx(ref.score, abs=1e-9)
+    assert float(lines[0].split()[1]) == ref.score
     t, obj = load_result_ktree(out / "result.json")
     assert t.edges == ref.ktree.edges
-    assert obj["score"] == pytest.approx(ref.score, abs=1e-9)
+    assert obj["score"] == ref.score
 
 
 def test_solve_from_samples_directly(tmp_path, capsys):
@@ -180,6 +189,9 @@ GOOD_SCORES = {"k": 1, "root": {"0,1": 1.0}, "pivot": {"2|1": 1.0}}
     (GOOD_GRAPH, dict(GOOD_SCORES, root=[1])),
     (GOOD_GRAPH, dict(GOOD_SCORES, pivot=[1])),
     (GOOD_GRAPH, dict(GOOD_SCORES, root={"0,1": None})),
+    (dict(GOOD_GRAPH, n=None), GOOD_SCORES),
+    (dict(GOOD_GRAPH, degree_bound=[2]), GOOD_SCORES),
+    (GOOD_GRAPH, dict(GOOD_SCORES, k=None)),
 ])
 def test_malformed_graph_and_score_files_are_data_errors(tmp_path, capsys,
                                                          graph, scores):
@@ -189,6 +201,39 @@ def test_malformed_graph_and_score_files_are_data_errors(tmp_path, capsys,
                  "--scores", str(tmp_path / "s.json"), "--k", "1",
                  "--out", str(tmp_path / "r.json")]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+GOOD_JOINT = {"vars": [0, 1, 2], "alphabets": [2, 2, 2], "probs": {"0,0,0": 1.0}}
+GOOD_RESULT = {"k": 1, "root": [0, 1], "cliques": [{"pivot": 2, "base": [1]}],
+               "edges": [[0, 1], [1, 2]]}
+
+
+@pytest.mark.parametrize("joint, result", [
+    (dict(GOOD_JOINT, alphabets=[None, 2, 2]), GOOD_RESULT),
+    (dict(GOOD_JOINT, vars=[0, 1, None]), GOOD_RESULT),
+    (dict(GOOD_JOINT, probs={"0,0,0": None}), GOOD_RESULT),
+    (dict(GOOD_JOINT, probs=[1]), GOOD_RESULT),
+    (GOOD_JOINT, dict(GOOD_RESULT, cliques=[5])),
+    (GOOD_JOINT, dict(GOOD_RESULT, cliques=[{"pivot": 2}])),
+    (GOOD_JOINT, dict(GOOD_RESULT, k=None)),
+    (GOOD_JOINT, dict(GOOD_RESULT, k=-1, root=[])),
+    (GOOD_JOINT, dict(GOOD_RESULT, edges=[[0, 1], 5])),
+])
+def test_malformed_joint_and_result_files_are_data_errors(tmp_path, capsys,
+                                                          joint, result):
+    (tmp_path / "j.json").write_text(json.dumps(joint))
+    (tmp_path / "r.json").write_text(json.dumps(result))
+    assert main(["kl", "--joint", str(tmp_path / "j.json"),
+                 "--result", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_well_formed_joint_and_result_files_pass_kl(tmp_path, capsys):
+    (tmp_path / "j.json").write_text(json.dumps(GOOD_JOINT))
+    (tmp_path / "r.json").write_text(json.dumps(GOOD_RESULT))
+    assert main(["kl", "--joint", str(tmp_path / "j.json"),
+                 "--result", str(tmp_path / "r.json")]) == 0
+    assert capsys.readouterr().out == "0.000000\n"
 
 
 def test_threads_flag_never_changes_output(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Entropy, mutual information, divergences, and k-tree distributions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from ktspan import (
     UndirectedGraph,
     build_mi_oracle,
     build_tree_decomposition,
+    chow_liu,
     entropy,
     kl_divergence,
     markov_ktree_distribution,
@@ -20,6 +22,7 @@ from ktspan import (
     tables_to_joint,
     total_correlation,
 )
+from ktspan import information
 from ktspan.errors import InstanceTooLargeError
 from ktspan.generate import (
     random_conditionals,
@@ -122,7 +125,6 @@ def test_total_correlation_examples():
 
 def test_total_correlation_equals_any_nesting_order():
     rng = np.random.default_rng(12)
-    import itertools
     for _ in range(10):
         p = random_joint_table((2, 3, 2), rng)
         tc = total_correlation(p, (0, 1, 2))
@@ -270,6 +272,68 @@ def test_mi_oracle_values_and_asymmetry():
     assert abs(a - b) > 1e-6
 
 
+def count_entropy_calls(monkeypatch):
+    """Route the entropy kernel through a recorder of its subsets."""
+    calls = []
+    kernel = information.entropy
+
+    def counted(source, variables):
+        calls.append(tuple(variables))
+        return kernel(source, variables)
+
+    monkeypatch.setattr(information, "entropy", counted)
+    return calls
+
+
+def test_mi_oracle_computes_each_subset_entropy_once(monkeypatch):
+    rng = np.random.default_rng(24)
+    samples = SampleMatrix(rng.integers(0, 3, size=(400, 7)))
+    g = UndirectedGraph.complete(7)
+    calls = count_entropy_calls(monkeypatch)
+    materialize_scores(build_mi_oracle(samples, g, 2), g, 2)
+    # every single, pair and triple of the 35 triangles, once each
+    assert len(calls) == 7 + 21 + 35
+    assert sorted(calls) == sorted(
+        c for s in (1, 2, 3) for c in itertools.combinations(range(7), s))
+
+
+def test_chow_liu_estimates_each_variable_and_pair_once(monkeypatch):
+    n = 8
+    rng = np.random.default_rng(27)
+    samples = SampleMatrix(rng.integers(0, 3, size=(500, n)))
+    calls = count_entropy_calls(monkeypatch)
+    chow_liu(samples)
+    assert len(calls) <= n + n * (n - 1) // 2
+    assert len(set(calls)) == len(calls)
+
+
+def test_mi_oracle_matches_the_public_functions_exactly():
+    rng = np.random.default_rng(25)
+    sources = [random_joint_table((3, 2, 4, 3, 2), rng),
+               SampleMatrix(rng.integers(0, 4, size=(300, 5)))]
+    for src in sources:
+        oracle = build_mi_oracle(src, UndirectedGraph.complete(5), 2)
+        for c in itertools.combinations(range(5), 3):
+            for w in c:
+                base = tuple(x for x in c if x != w)
+                for b in (base, base[::-1]):
+                    assert oracle.score(w, b) == mutual_information(src, w, b)
+            for order in (c, c[::-1]):
+                assert oracle.root_score(order) == total_correlation(src, c)
+
+
+def test_mutual_information_ignores_the_order_of_ys():
+    rng = np.random.default_rng(26)
+    sources = [random_joint_table((3, 4, 2, 3, 4), rng),
+               SampleMatrix(rng.integers(0, 5, size=(500, 5)))]
+    for src in sources:
+        for x in range(5):
+            ys = tuple(v for v in range(5) if v != x)
+            values = {mutual_information(src, x, p)
+                      for p in itertools.permutations(ys)}
+            assert len(values) == 1
+
+
 def test_explicit_oracle_lookup_and_validation():
     oracle = ExplicitScoreOracle(
         2, {(0, 1, 2): 5.0}, {(3, (1, 2)): 7.0})
@@ -290,7 +354,6 @@ def test_materialize_scores_reproduces_oracle():
                             if e != (0, 4)])
     lazy = build_mi_oracle(p, g, 2)
     frozen = materialize_scores(lazy, g, 2)
-    import itertools
     for c in itertools.combinations(range(5), 3):
         assert frozen.root_score(c) == lazy.root_score(c)
         for w in c:

@@ -17,7 +17,11 @@ from ktspan import (
     solve_retaining_mskt,
 )
 from ktspan import solver as solver_mod
-from ktspan.bruteforce import brute_max_score, enumerate_retaining_ktrees
+from ktspan.bruteforce import (
+    best_rooted_score,
+    brute_max_score,
+    enumerate_retaining_ktrees,
+)
 from ktspan.generate import (
     random_backbone,
     random_conditionals,
@@ -162,6 +166,23 @@ def test_pivots_above_127_keep_distinct_memo_keys():
     res = solve_retaining_mskt(g, h, 1, ExplicitScoreOracle(1, roots, pivots))
     assert res.score == 100.0
     assert res.decomposition.root.members == (0, 129)
+
+
+@pytest.mark.parametrize("n", [130, 200])
+def test_large_k1_solve_matches_the_rerooted_backbone(n):
+    # a retaining spanning 1-tree is the backbone itself, so the best
+    # rerooting of the backbone is an exact answer at any n; chords make
+    # every distance-2 edge a root the DP has to reject, and integer
+    # scores make both sums exact
+    h = path_backbone(n)
+    g = UndirectedGraph(n, [(i, i + 1) for i in range(n - 1)]
+                        + [(i, i + 2) for i in range(n - 2)])
+    oracle = random_explicit_scores(g, 1, np.random.default_rng(n))
+    backbone = KTree.from_creation_order(
+        n, 1, [(0, ())] + [(v, (v - 1,)) for v in range(1, n)])
+    res = solve_retaining_mskt(g, h, 1, oracle)
+    assert res.ktree.edges == backbone.edges
+    assert res.score == best_rooted_score(backbone, h, oracle)[0]
 
 
 def test_score_ktree_hand_sum():
