@@ -9,7 +9,6 @@ from .errors import (
 )
 from .graphs import (
     BackboneTree,
-    Clique,
     KTree,
     TreeDecomposition,
     UndirectedGraph,

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 from .errors import InfeasibleError, InstanceTooLargeError
 from .graphs import (
     BackboneTree,
-    Clique,
     KTree,
     UndirectedGraph,
-    build_tree_decomposition,
     iter_bits,
     mask_of,
     normalize_edge,
@@ -35,18 +33,12 @@ CLIQUE_MAX_N = 20
 CLIQUE_MAX_K = 6
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnumerationReport:
-    """Outcome of exhaustive k-tree enumeration.
-
-    instances hold one witness KTree per distinct edge set, sorted by
-    edge list. best and best_score stay None until brute_max_score
-    fills them in.
-    """
+    """Outcome of exhaustive k-tree enumeration: instances hold one
+    witness KTree per distinct edge set, sorted by edge list."""
 
     instances: tuple
-    best: KTree | None = None
-    best_score: float | None = None
 
 
 def enumerate_retaining_ktrees(g: UndirectedGraph, h, k: int) -> EnumerationReport:
@@ -146,8 +138,9 @@ def best_rooted_score(t: KTree, h: BackboneTree, oracle):
         raise ValueError("k-tree equals its seed clique, nothing to score")
     best = None
     winner = None
-    for node in sorted(c.members for c in build_tree_decomposition(t).nodes):
-        rooted = reroot(t, Clique.of(node))
+    for root in sorted(tuple(sorted(base + (v,)))
+                       for v, base in t.creation_order[t.k:]):
+        rooted = reroot(t, root)
         val = score_ktree(rooted, h, oracle)
         if val is None:
             continue
@@ -163,8 +156,7 @@ def brute_max_score(report: EnumerationReport, h: BackboneTree, oracle):
     """Maximum construction score over all enumerated instances.
 
     Instances are scanned in sorted-edge-list order, so ties keep the
-    lexicographically least edge set. Fills report.best and
-    report.best_score; returns (ktree, score).
+    lexicographically least edge set. Returns (ktree, score).
     """
     best = None
     winner = None
@@ -177,8 +169,6 @@ def brute_max_score(report: EnumerationReport, h: BackboneTree, oracle):
             winner = witness
     if winner is None:
         raise InfeasibleError("no enumerated k-tree has a defined score")
-    report.best = winner
-    report.best_score = best
     return winner, best
 
 

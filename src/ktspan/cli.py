@@ -82,7 +82,7 @@ def cmd_solve(args) -> int:
     else:
         fileio.save_result(args.out, result, oracle)
     print(f"score {result.score}")
-    _print_root(result.decomposition.root.members)
+    _print_root(result.ktree.root_clique)
     print(f"root_score {result.root_score_component}")
     return 0
 

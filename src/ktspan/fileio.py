@@ -8,6 +8,7 @@ identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -57,11 +58,20 @@ def _edge_list(value, key, path):
     return [tuple(e) for e in value]
 
 
+def _finite_number(x):
+    # json reads NaN, Infinity and integers too large for a float
+    if type(x) not in (int, float):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _number_map(value, key, path):
     if not isinstance(value, dict) or not all(
-            isinstance(s, (int, float)) and not isinstance(s, bool)
-            for s in value.values()):
-        raise ValueError(f'{path}: "{key}" must be an object of numbers')
+            _finite_number(s) for s in value.values()):
+        raise ValueError(f'{path}: "{key}" must be an object of finite numbers')
     return value
 
 
@@ -213,12 +223,9 @@ def save_ktree(path, t: KTree):
 
 def save_result(path, result: SolveResult, oracle):
     """Write a solve result; per-clique scores come from the oracle."""
-    dec = result.decomposition
-    scores = []
-    for node in dec.nodes[1:]:
-        w = dec.pivot[node]
-        scores.append(oracle.score(w, tuple(x for x in node.members if x != w)))
-    obj = _ktree_json_obj(result.ktree, scores)
+    t = result.ktree
+    scores = [oracle.score(w, base) for w, base in t.creation_order[t.k + 1:]]
+    obj = _ktree_json_obj(t, scores)
     obj["score"] = result.score
     _dump_json(path, obj)
 

@@ -80,36 +80,6 @@ def _adjacency(n, edges):
     return adj
 
 
-@dataclass(frozen=True)
-class Clique:
-    """A set of mutually adjacent vertices, stored as a sorted tuple."""
-
-    members: tuple[int, ...]
-
-    @classmethod
-    def of(cls, *vertices) -> "Clique":
-        if len(vertices) == 1 and not isinstance(vertices[0], int):
-            vertices = tuple(vertices[0])
-        members = tuple(sorted(vertices))
-        for a, b in zip(members, members[1:]):
-            if a == b:
-                raise ValueError(f"repeated vertex {a} in clique")
-        return cls(members)
-
-    @property
-    def member_set(self) -> frozenset:
-        return frozenset(self.members)
-
-    def __contains__(self, v) -> bool:
-        return v in self.members
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
 class UndirectedGraph:
     """Simple undirected graph with optional edge weights.
 
@@ -267,11 +237,13 @@ class KTree:
 
     @property
     def root_clique(self):
-        """First (k+1)-clique laid down, or None when n == k."""
+        """Sorted vertex tuple of the first (k+1)-clique laid down, or
+        None when n == k. Every later creation-order entry (pivot, base)
+        adds one more clique, base + (pivot,)."""
         if self.n <= self.k:
             return None
         v, base = self.creation_order[self.k]
-        return Clique.of(base + (v,))
+        return tuple(sorted(base + (v,)))
 
     def __eq__(self, other):
         if not isinstance(other, KTree):
@@ -348,15 +320,16 @@ def require_retaining(t: KTree, h: BackboneTree):
 class TreeDecomposition:
     """Clique tree of a k-tree, one node per (k+1)-clique.
 
-    nodes follows the creation order with the root first. parent maps
-    each clique to its parent (None for the root): the earliest clique
-    containing the node's attachment set. pivot maps each clique to the
+    Nodes are sorted vertex tuples in creation order, root first. parent
+    maps each node to its parent (None for the root): the node created
+    by the latest-created member of the node's attachment set, which is
+    the earliest node containing that set. pivot maps each node to the
     vertex whose attachment created it; for the root that is the first
     vertex attached after the seed.
     """
 
     nodes: tuple
-    root: Clique
+    root: tuple
     parent: dict
     pivot: dict
 
@@ -364,41 +337,49 @@ class TreeDecomposition:
 def build_tree_decomposition(t: KTree) -> TreeDecomposition:
     if t.n <= t.k:
         raise ValueError("k-tree has no (k+1)-cliques, decomposition undefined")
-    nodes = []
-    parent = {}
-    pivot = {}
-    for v, base in t.creation_order[t.k:]:
-        node = Clique.of(base + (v,))
-        if not nodes:
-            parent[node] = None
-        else:
-            bset = set(base)
-            # exists for any valid k-tree: the clique created by the
-            # latest member of base contains all of base
-            parent[node] = next(c for c in nodes if bset <= c.member_set)
+    root = t.root_clique
+    nodes = [root]
+    parent = {root: None}
+    pivot = {root: t.creation_order[t.k][0]}
+    # vertex -> index of the node its attachment created; the seed
+    # vertices share the root
+    made = dict.fromkeys(root, 0)
+    for v, base in t.creation_order[t.k + 1:]:
+        node = tuple(sorted(base + (v,)))
+        # the latest-created member of base saw all the others when it
+        # was attached, so its node is the earliest one containing base
+        parent[node] = nodes[max(made[b] for b in base)]
         pivot[node] = v
+        made[v] = len(nodes)
         nodes.append(node)
-    return TreeDecomposition(tuple(nodes), nodes[0], parent, pivot)
+    return TreeDecomposition(tuple(nodes), root, parent, pivot)
 
 
-def reroot(t: KTree, root: Clique) -> KTree:
-    """Rewrite t's creation order to start from the given (k+1)-clique.
+def reroot(t: KTree, root) -> KTree:
+    """Rewrite t's creation order to start from the (k+1)-clique on the
+    given vertices, which may come in any order.
 
     The edge set is untouched. Simplicial vertices outside the target
     root are stripped one at a time (smallest first), then replayed in
     reverse on top of the root seed. Any (k+1)-clique of a k-tree can
-    act as root, so a stall means the input was malformed.
+    act as root, so a stall means the input was malformed. Raises
+    ValueError when root is not k+1 distinct vertices of t forming a
+    clique.
     """
+    root = tuple(sorted(root))
     if len(root) != t.k + 1:
         raise ValueError(f"root needs {t.k + 1} vertices, got {len(root)}")
+    for a, b in zip(root, root[1:]):
+        if a == b:
+            raise ValueError(f"repeated vertex {a} in root")
     if not all(0 <= v < t.n for v in root):
         raise ValueError("root vertex out of range")
     adj = _adjacency(t.n, t.edges)
-    for u, v in itertools.combinations(root.members, 2):
+    for u, v in itertools.combinations(root, 2):
         if not adj[u] >> v & 1:
             raise ValueError(f"root is not a clique: missing edge ({u}, {v})")
     alive = (1 << t.n) - 1
-    rmask = mask_of(root.members)
+    rmask = mask_of(root)
     strips = []
     while alive != rmask:
         for v in iter_bits(alive & ~rmask):
@@ -412,7 +393,7 @@ def reroot(t: KTree, root: Clique) -> KTree:
                 break
         else:
             raise ValueError("rerooting stalled, no simplicial vertex outside root")
-    order = [(v, root.members[:j]) for j, v in enumerate(root.members[:t.k])]
-    order.append((root.members[t.k], root.members[:t.k]))
+    order = [(v, root[:j]) for j, v in enumerate(root[:t.k])]
+    order.append((root[t.k], root[:t.k]))
     order.extend(reversed(strips))
     return KTree(t.n, t.k, t.edges, order)

@@ -196,8 +196,6 @@ class ScoreOracle:
     the clique, only on the (pivot, base) pair itself.
     """
 
-    mode = "abstract"
-
     def score(self, pivot: int, base):
         raise NotImplementedError
 
@@ -214,8 +212,6 @@ class MutualInformationOracle(ScoreOracle):
     across the clique tree. Every score is built from one per-oracle
     entropy memo, so a fit or a solve computes each subset entropy once.
     """
-
-    mode = "mi"
 
     def __init__(self, source, g: UndirectedGraph):
         self.source = source
@@ -251,8 +247,6 @@ class WeightProductOracle(ScoreOracle):
     missing edge makes the configuration forbidden.
     """
 
-    mode = "weight-product"
-
     def __init__(self, g: UndirectedGraph):
         if g.weights is None:
             raise ValueError("host graph carries no edge weights")
@@ -283,8 +277,6 @@ class ExplicitScoreOracle(ScoreOracle):
     root_scores maps sorted (k+1)-tuples to floats and pivot_scores
     maps (pivot, base frozenset) pairs to floats.
     """
-
-    mode = "explicit-table"
 
     def __init__(self, k: int, root_scores, pivot_scores):
         self.k = int(k)

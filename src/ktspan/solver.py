@@ -19,9 +19,7 @@ from .errors import InconsistentPartitionError, InfeasibleError
 from .graphs import (
     BackboneTree,
     KTree,
-    TreeDecomposition,
     UndirectedGraph,
-    build_tree_decomposition,
     iter_bits,
     iter_cliques,
     mask_of,
@@ -36,10 +34,13 @@ _MISSING = object()
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
-    """Solver output: the k-tree, its clique tree, and the score split."""
+    """Solver output: the k-tree and the score split.
+
+    The k-tree's creation order lists its cliques, root first; score is
+    root_score_component plus one pivot score per later clique.
+    """
 
     ktree: KTree
-    decomposition: TreeDecomposition
     score: float
     root_score_component: float
 
@@ -193,15 +194,14 @@ class _DPSolver:
             ktree = KTree.from_creation_order(n, k, order)
         except ValueError as exc:
             raise RuntimeError(f"solver output rejected: {exc}") from exc
-        dec = build_tree_decomposition(ktree)
         require_retaining(ktree, self.h)
-        # recompute the score along the decomposition so rescoring the
+        # recompute the score along the creation order so rescoring the
         # output reproduces it bit for bit
-        score = _tree_score(dec, best_rs,
+        score = _tree_score(ktree, best_rs,
                             lambda w, base: self._score(mask_of(base), w))
         if score is None:
             raise RuntimeError("forbidden score on the winning path")
-        return SolveResult(ktree, dec, score, best_rs)
+        return SolveResult(ktree, score, best_rs)
 
     def _emit(self, members):
         k = self.k
@@ -257,15 +257,14 @@ def solve_retaining_mskt(g: UndirectedGraph, h: BackboneTree, k: int,
     return _DPSolver(g, h, k, oracle).solve()
 
 
-def _tree_score(dec: TreeDecomposition, root_score, score):
-    """root_score plus score(pivot, base) for every non-root clique of
-    dec, or None once any of them is forbidden."""
+def _tree_score(t: KTree, root_score, score):
+    """root_score plus score(pivot, base) for every creation-order entry
+    after the root clique, or None once any of them is forbidden."""
     if root_score is None:
         return None
     total = root_score
-    for node in dec.nodes[1:]:
-        w = dec.pivot[node]
-        fs = score(w, tuple(v for v in node.members if v != w))
+    for w, base in t.creation_order[t.k + 1:]:
+        fs = score(w, base)
         if fs is None:
             return None
         total += fs
@@ -273,13 +272,12 @@ def _tree_score(dec: TreeDecomposition, root_score, score):
 
 
 def _rescore(t: KTree, h: BackboneTree, oracle: ScoreOracle):
-    """Decomposition, root score and total score of a retaining k-tree."""
+    """Root score and total score of a retaining k-tree."""
     if t.n == t.k:
         raise ValueError("k-tree equals its seed clique, nothing to score")
-    dec = build_tree_decomposition(t)
     require_retaining(t, h)
-    rs = oracle.root_score(dec.root.members)
-    return dec, rs, _tree_score(dec, rs, oracle.score)
+    rs = oracle.root_score(t.root_clique)
+    return rs, _tree_score(t, rs, oracle.score)
 
 
 def score_ktree(t: KTree, h: BackboneTree, oracle: ScoreOracle):
@@ -290,15 +288,15 @@ def score_ktree(t: KTree, h: BackboneTree, oracle: ScoreOracle):
     The k-tree must be valid and must retain the backbone; n == k is
     rejected since there is no clique to score.
     """
-    return _rescore(t, h, oracle)[2]
+    return _rescore(t, h, oracle)[1]
 
 
 def rescore_result(t: KTree, h: BackboneTree, oracle: ScoreOracle) -> SolveResult:
     """Package an existing retaining k-tree as a SolveResult."""
-    dec, rs, total = _rescore(t, h, oracle)
+    rs, total = _rescore(t, h, oracle)
     if total is None:
         raise InfeasibleError("k-tree hits a forbidden configuration")
-    return SolveResult(t, dec, total, rs)
+    return SolveResult(t, total, rs)
 
 
 def chow_liu(source) -> KTree:

@@ -64,7 +64,7 @@ def _record(h, res):
     err = validate_ktree(res.ktree)
     assert err is None, err
     assert retains(res.ktree, h)
-    assert len(res.decomposition.nodes) == res.ktree.n - res.ktree.k
+    assert len(build_tree_decomposition(res.ktree).nodes) == res.ktree.n - res.ktree.k
     _SOLVER_OUTPUTS.append((h, res))
 
 
@@ -145,7 +145,7 @@ def test_criterion_4_separation_bound(capsys):
 
 
 def _neighbor_bound_holds(t: KTree) -> bool:
-    nodes = [c.members for c in build_tree_decomposition(t).nodes]
+    nodes = build_tree_decomposition(t).nodes
     adj = {v: set() for v in range(t.n)}
     for u, v in t.edges:
         adj[u].add(v)
@@ -250,7 +250,7 @@ def test_criterion_7_information_identities(capsys):
             pg = markov_ktree_distribution(r, p)
             worst = max(worst, abs(float(pg.table.sum()) - 1.0))
             dec = build_tree_decomposition(r)
-            obj = total_correlation(p, dec.root.members)
+            obj = total_correlation(p, dec.root)
             for c in dec.nodes[1:]:
                 w = dec.pivot[c]
                 obj += mutual_information(p, w, tuple(x for x in c if x != w))
@@ -332,7 +332,7 @@ def test_criterion_2_retention_and_validity(capsys):
             bad += 1
         elif not retains(res.ktree, h):
             bad += 1
-        elif len(res.decomposition.nodes) != res.ktree.n - res.ktree.k:
+        elif len(build_tree_decomposition(res.ktree).nodes) != res.ktree.n - res.ktree.k:
             bad += 1
     total = len(_SOLVER_OUTPUTS)
     ok = bad == 0 and total >= 100

@@ -192,6 +192,10 @@ GOOD_SCORES = {"k": 1, "root": {"0,1": 1.0}, "pivot": {"2|1": 1.0}}
     (dict(GOOD_GRAPH, n=None), GOOD_SCORES),
     (dict(GOOD_GRAPH, degree_bound=[2]), GOOD_SCORES),
     (GOOD_GRAPH, dict(GOOD_SCORES, k=None)),
+    (GOOD_GRAPH, dict(GOOD_SCORES, root={"0,1": float("nan")})),
+    (GOOD_GRAPH, dict(GOOD_SCORES, pivot={"2|1": float("inf")})),
+    (GOOD_GRAPH, dict(GOOD_SCORES, pivot={"2|1": 10 ** 400})),
+    (dict(GOOD_GRAPH, weights={"0,1": float("-inf")}), GOOD_SCORES),
 ])
 def test_malformed_graph_and_score_files_are_data_errors(tmp_path, capsys,
                                                          graph, scores):
@@ -218,6 +222,7 @@ GOOD_RESULT = {"k": 1, "root": [0, 1], "cliques": [{"pivot": 2, "base": [1]}],
     (GOOD_JOINT, dict(GOOD_RESULT, k=None)),
     (GOOD_JOINT, dict(GOOD_RESULT, k=-1, root=[])),
     (GOOD_JOINT, dict(GOOD_RESULT, edges=[[0, 1], 5])),
+    (dict(GOOD_JOINT, probs={"0,0,0": float("nan")}), GOOD_RESULT),
 ])
 def test_malformed_joint_and_result_files_are_data_errors(tmp_path, capsys,
                                                           joint, result):

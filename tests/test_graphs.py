@@ -7,7 +7,6 @@ import pytest
 
 from ktspan import (
     BackboneTree,
-    Clique,
     KTree,
     UndirectedGraph,
     build_tree_decomposition,
@@ -43,18 +42,6 @@ def test_mask_round_trip():
     assert mask_of([0, 2, 5]) == 0b100101
     assert list(iter_bits(0b100101)) == [0, 2, 5]
     assert list(iter_bits(0)) == []
-
-
-def test_clique_canonical_form():
-    c = Clique.of(4, 1, 2)
-    assert c.members == (1, 2, 4)
-    assert list(c) == [1, 2, 4]
-    assert 2 in c and 3 not in c
-    assert len(c) == 3
-    # also accepts a single iterable
-    assert Clique.of([3, 0]).members == (0, 3)
-    with pytest.raises(ValueError):
-        Clique.of(1, 1, 2)
 
 
 def test_graph_basics():
@@ -143,9 +130,9 @@ def test_edge_and_clique_count_formulas():
 
 def test_decomposition_small_example():
     dec = build_tree_decomposition(k4_minus_03())
-    assert [c.members for c in dec.nodes] == [(0, 1, 2), (1, 2, 3)]
-    assert dec.root.members == (0, 1, 2)
-    assert dec.parent[dec.nodes[1]] is dec.nodes[0]
+    assert dec.nodes == ((0, 1, 2), (1, 2, 3))
+    assert dec.root == (0, 1, 2)
+    assert dec.parent[dec.nodes[1]] == dec.nodes[0]
     assert dec.parent[dec.root] is None
     assert dec.pivot[dec.nodes[1]] == 3
 
@@ -154,8 +141,8 @@ def test_decomposition_path_as_1tree():
     order = [(0, ()), (1, (0,)), (2, (1,)), (3, (2,))]
     t = KTree.from_creation_order(4, 1, order)
     dec = build_tree_decomposition(t)
-    assert [c.members for c in dec.nodes] == [(0, 1), (1, 2), (2, 3)]
-    assert dec.parent[dec.nodes[2]] is dec.nodes[1]
+    assert dec.nodes == ((0, 1), (1, 2), (2, 3))
+    assert dec.parent[dec.nodes[2]] == dec.nodes[1]
 
 
 def test_decomposition_single_clique():
@@ -181,11 +168,25 @@ def test_decomposition_running_intersection():
             # walk each holder toward the root; the first holding
             # ancestor must be the parent itself or the walk is broken
             for c in holding:
-                if c is dec.root or v == dec.pivot[c]:
+                if c == dec.root or v == dec.pivot[c]:
                     continue
-                assert v in dec.parent[c].members
+                assert v in dec.parent[c]
         for c in dec.nodes[1:]:
             assert index[dec.parent[c]] < index[c]
+
+
+def test_decomposition_parent_is_the_earliest_node_holding_the_base():
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        k = int(rng.integers(1, 4))
+        n = int(rng.integers(k + 1, 10))
+        t = random_ktree(n, k, rng)
+        dec = build_tree_decomposition(t)
+        assert dec.root == t.root_clique
+        assert dec.parent[dec.root] is None
+        for c in dec.nodes[1:]:
+            base = set(c) - {dec.pivot[c]}
+            assert dec.parent[c] == next(d for d in dec.nodes if base <= set(d))
 
 
 def test_reroot_preserves_edges_any_clique_root():
@@ -198,15 +199,25 @@ def test_reroot_preserves_edges_any_clique_root():
             r = reroot(t, node)
             assert r.edges == t.edges
             assert validate_ktree(r) is None
-            assert r.root_clique.members == node.members
+            assert r.root_clique == node
 
 
 def test_reroot_rejects_non_clique():
     t = k4_minus_03()
     with pytest.raises(ValueError, match="missing edge"):
-        reroot(t, Clique.of(0, 1, 3))
+        reroot(t, (0, 1, 3))
     with pytest.raises(ValueError, match="root needs"):
-        reroot(t, Clique.of(0, 1))
+        reroot(t, (0, 1))
+
+
+def test_reroot_accepts_any_vertex_order_and_rejects_repeats():
+    t = k4_minus_03()
+    r = reroot(t, [3, 1, 2])
+    assert r.root_clique == (1, 2, 3)
+    assert r == reroot(t, (1, 2, 3))
+    assert r.creation_order == reroot(t, (1, 2, 3)).creation_order
+    with pytest.raises(ValueError, match="repeated vertex 1"):
+        reroot(t, (1, 1, 2))
 
 
 def test_retains_and_require():

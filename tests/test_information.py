@@ -232,7 +232,7 @@ def test_precursor_invariance():
             r = reroot(t, node)
             pg = markov_ktree_distribution(r, p)
             dec = build_tree_decomposition(r)
-            obj = total_correlation(p, dec.root.members)
+            obj = total_correlation(p, dec.root)
             for c in dec.nodes[1:]:
                 w = dec.pivot[c]
                 obj += mutual_information(p, w, tuple(x for x in c if x != w))

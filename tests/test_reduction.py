@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ktspan import UndirectedGraph, solve_retaining_mskt
+from ktspan import UndirectedGraph, build_tree_decomposition, solve_retaining_mskt
 from ktspan.bruteforce import max_clique_exists
 from ktspan.generate import gnp_graph
 from ktspan.information import WeightProductOracle
@@ -87,7 +87,7 @@ def test_threshold_witness_clique():
         oracle = WeightProductOracle(inst.gprime)
         res = solve_retaining_mskt(inst.gprime, inst.h, inst.kprime, oracle)
         found = any(
-            all(g.has_edge(u, v) for u, v in itertools.combinations(c.members, 2))
-            for c in res.decomposition.nodes)
+            all(g.has_edge(u, v) for u, v in itertools.combinations(c, 2))
+            for c in build_tree_decomposition(res.ktree).nodes)
         assert (res.score >= inst.sigma) == found
         assert found == max_clique_exists(g, 3)
