@@ -194,7 +194,19 @@ class ScoreOracle:
     any construction touching a forbidden configuration is itself
     forbidden. Values must not depend on which construction produced
     the clique, only on the (pivot, base) pair itself.
+
+    root_invariant promises that every creation order of a k-tree sums
+    to the same score, whichever of its cliques is the root. The solver
+    then sweeps only the roots holding the smallest backbone edge, since
+    every retaining k-tree has a clique holding it, and returns the
+    winner rerooted at its lexicographically smallest clique. The
+    default is False: explicit tables hold arbitrary values, and mutual
+    information is root-invariant only up to rounding, so a solve from
+    samples sweeps every root and gives the same bits as a solve on the
+    tables `fit` writes.
     """
+
+    root_invariant = False
 
     def score(self, pivot: int, base):
         raise NotImplementedError
@@ -244,8 +256,12 @@ class WeightProductOracle(ScoreOracle):
 
     The value uses only the pair weights of {pivot} | base, so it does
     not depend on which vertex played the pivot. A missing weight or
-    missing edge makes the configuration forbidden.
+    missing edge makes the configuration forbidden. A k-tree scores the
+    sum of its (k+1)-cliques' products under every creation order, so
+    the oracle is root-invariant.
     """
+
+    root_invariant = True
 
     def __init__(self, g: UndirectedGraph):
         if g.weights is None:

@@ -24,6 +24,7 @@ from .graphs import (
     iter_cliques,
     mask_of,
     require_retaining,
+    reroot,
     validate_backbone,
 )
 from .information import JointTable, SampleMatrix, ScoreOracle, _Entropies
@@ -46,7 +47,15 @@ class SolveResult:
 
 
 class _DPSolver:
-    """One solve run; holds the memo tables and the traceback choices."""
+    """One solve run; holds the memo tables and the traceback choices.
+
+    _solve_frame and _branch_frame are generators that run as frames on
+    one explicit work stack (_fill): each probes the memo before asking
+    for a child state, so a memo hit costs one dict lookup, and a miss
+    yields the child's frame, which the stack runs to completion before
+    resuming the parent. Depth is bounded by memory, not by the
+    interpreter's recursion limit.
+    """
 
     def __init__(self, g: UndirectedGraph, h: BackboneTree, k: int,
                  oracle: ScoreOracle):
@@ -63,6 +72,10 @@ class _DPSolver:
         # low bits, which must hold every vertex id
         self._pshift = self.n.bit_length()
         self._comp_cache = {}
+        # iter_bits tuples of clique and cover masks, and the sorted
+        # covers of each index mask; region masks are too many to keep
+        self._bits = {}
+        self._cover_cache = {}
         self._table = {}
         self._tchoice = {}
         self._branch = {}
@@ -79,6 +92,33 @@ class _DPSolver:
             self._comp_cache[cmask] = comps
         return comps
 
+    def _bits_of(self, mask):
+        bits = self._bits.get(mask)
+        if bits is None:
+            bits = self._bits[mask] = tuple(iter_bits(mask))
+        return bits
+
+    def _covers(self, imask):
+        """Index masks of the covers holding imask's lowest id, ordered
+        by their id tuples."""
+        covers = self._cover_cache.get(imask)
+        if covers is None:
+            # the component holding the lowest open id is covered by the
+            # next branch; enumerating only covers that contain it visits
+            # every partition into branches exactly once
+            lowbit = imask & -imask
+            found = []
+            sub = imask
+            while True:
+                if sub & lowbit:
+                    found.append(sub)
+                if sub == 0:
+                    break
+                sub = (sub - 1) & imask
+            found.sort(key=self._bits_of)
+            covers = self._cover_cache[imask] = tuple(found)
+        return covers
+
     def _score(self, basemask, w):
         key = (basemask << self._pshift) | w
         val = self._scores.get(key, _MISSING)
@@ -87,99 +127,139 @@ class _DPSolver:
             self._scores[key] = val
         return val
 
-    def _solve(self, cmask, imask):
-        """Best score covering the index-masked components below cmask."""
+    def _fill(self, cmask, imask):
+        """Best score covering the index-masked components below cmask,
+        with every state it depends on memoized."""
         if not imask:
             return 0
         key = (cmask << self._ishift) | imask
         hit = self._table.get(key, _MISSING)
         if hit is not _MISSING:
             return hit
-        # the component holding the lowest open id is covered by the
-        # next branch; enumerating only covers that contain it visits
-        # every partition into branches exactly once
-        lowbit = imask & -imask
-        covers = []
-        sub = imask
-        while True:
-            if sub & lowbit:
-                covers.append(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & imask
-        covers.sort(key=_index_tuple)
+        stack = [self._solve_frame(cmask, imask)]
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+            else:
+                stack.append(child)
+        return self._table[key]
+
+    def _solve_frame(self, cmask, imask):
+        """Fill _table for (cmask, imask): the best split of the indexed
+        components into branches."""
+        table = self._table
+        branch = self._branch
+        base = cmask << self._ishift
         best = None
         bestcover = None
-        for cover in covers:
-            got = self._branch_best(cmask, cover)
+        for cover in self._covers(imask):
+            bkey = base | cover
+            got = branch.get(bkey, _MISSING)
+            if got is _MISSING:
+                yield self._branch_frame(cmask, cover)
+                got = branch[bkey]
             if got is None:
                 continue
-            rest = self._solve(cmask, imask ^ cover)
-            if rest is None:
-                continue
-            total = got + rest
+            rest = imask ^ cover
+            if rest:
+                rkey = base | rest
+                sub = table.get(rkey, _MISSING)
+                if sub is _MISSING:
+                    yield self._solve_frame(cmask, rest)
+                    sub = table[rkey]
+                if sub is None:
+                    continue
+            else:
+                sub = 0
+            total = got + sub
             if best is None or total > best:
                 best = total
                 bestcover = cover
-        self._table[key] = best
+        key = base | imask
+        table[key] = best
         if bestcover is not None:
             self._tchoice[key] = bestcover
-        return best
 
-    def _branch_best(self, cmask, cover):
-        """Best single branch below cmask covering exactly the union of
-        the components indexed by cover."""
-        key = (cmask << self._ishift) | cover
-        hit = self._branch.get(key, _MISSING)
-        if hit is not _MISSING:
-            return hit
+    def _branch_frame(self, cmask, cover):
+        """Fill _branch for (cmask, cover): the best single branch below
+        cmask covering exactly the union of the indexed components."""
         comps = self._components(cmask)
         region = 0
-        for idx in iter_bits(cover):
+        for idx in self._bits_of(cover):
             region |= comps[idx][1]
-        gadj = self.gadj
+        hadj = self.hadj
         # a dropped vertex never rejoins a clique below this point, so
         # any backbone edge from it into the region could never be built
         drops = [(x, cmask ^ (1 << x))
-                 for x in iter_bits(cmask) if not self.hadj[x] & region]
+                 for x in self._bits_of(cmask) if not hadj[x] & region]
+        gadj = self.gadj
+        table = self._table
+        scores = self._scores
+        comp_cache = self._comp_cache
+        ishift = self._ishift
+        pshift = self._pshift
         best = None
         bestchoice = None
-        for w in iter_bits(region):
+        # pivots in ascending order, peeled off inline: a generator per
+        # region would cost one resume per bit
+        pending = region
+        while pending:
+            wbit = pending & -pending
+            pending ^= wbit
+            w = wbit.bit_length() - 1
             gw = gadj[w]
-            wbit = 1 << w
             rem = region ^ wbit
             for x, basemask in drops:
                 if basemask & ~gw:
                     continue
-                fs = self._score(basemask, w)
+                fs = scores.get((basemask << pshift) | w, _MISSING)
+                if fs is _MISSING:
+                    fs = self._score(basemask, w)
                 if fs is None:
                     continue
                 childmask = basemask | wbit
-                childimask = region_components(self._components(childmask), rem)
-                sub = self._solve(childmask, childimask)
-                if sub is None:
-                    continue
+                ccomps = comp_cache.get(childmask)
+                if ccomps is None:
+                    ccomps = self._components(childmask)
+                childimask = region_components(ccomps, rem)
+                if childimask:
+                    ckey = (childmask << ishift) | childimask
+                    sub = table.get(ckey, _MISSING)
+                    if sub is _MISSING:
+                        yield self._solve_frame(childmask, childimask)
+                        sub = table[ckey]
+                    if sub is None:
+                        continue
+                else:
+                    sub = 0
                 total = fs + sub
                 if best is None or total > best:
                     best = total
                     bestchoice = (w, x, childmask, childimask)
+        key = (cmask << ishift) | cover
         self._branch[key] = best
         if bestchoice is not None:
             self._bchoice[key] = bestchoice
-        return best
 
     def solve(self) -> SolveResult:
         n, k = self.n, self.k
+        oracle = self.oracle
+        roots = iter_cliques(self.gadj, k + 1)
+        if oracle.root_invariant:
+            # every retaining k-tree has a clique holding this edge, and
+            # every root of a k-tree gives it the same score
+            u, v = min(self.h.edges)
+            roots = (c for c in roots if u in c and v in c)
         best = None
         best_members = None
         best_rs = None
-        for members in iter_cliques(self.gadj, k + 1):
-            rs = self.oracle.root_score(members)
+        for members in roots:
+            rs = oracle.root_score(members)
             if rs is None:
                 continue
             rmask = mask_of(members)
-            full = (1 << len(self._components(rmask))) - 1
-            sub = self._solve(rmask, full)
+            sub = self._fill(rmask, (1 << len(self._components(rmask))) - 1)
             if sub is None:
                 continue
             total = rs + sub
@@ -195,6 +275,15 @@ class _DPSolver:
         except ValueError as exc:
             raise RuntimeError(f"solver output rejected: {exc}") from exc
         require_retaining(ktree, self.h)
+        if oracle.root_invariant:
+            # the winner may come from any swept root; report it rooted
+            # at its smallest clique so the result does not depend on
+            # which root the sweep kept
+            root = min(tuple(sorted(base + (w,)))
+                       for w, base in ktree.creation_order[k:])
+            if root != ktree.root_clique:
+                ktree = reroot(ktree, root)
+                best_rs = oracle.root_score(root)
         # recompute the score along the creation order so rescoring the
         # output reproduces it bit for bit
         score = _tree_score(ktree, best_rs,
@@ -205,20 +294,22 @@ class _DPSolver:
 
     def _emit(self, members):
         k = self.k
+        ishift = self._ishift
         order = [(v, members[:j]) for j, v in enumerate(members[:k])]
         order.append((members[k], members[:k]))
-
-        def walk(cmask, imask):
-            while imask:
-                cover = self._tchoice[(cmask << self._ishift) | imask]
-                w, x, childmask, childimask = \
-                    self._bchoice[(cmask << self._ishift) | cover]
-                order.append((w, tuple(iter_bits(cmask ^ (1 << x)))))
-                walk(childmask, childimask)
-                imask ^= cover
-
         rmask = mask_of(members)
-        walk(rmask, (1 << len(self._components(rmask))) - 1)
+        # depth first, each branch's subtree before the next cover of
+        # its parent state: the child goes on top of the parent's rest
+        stack = [(rmask, (1 << len(self._components(rmask))) - 1)]
+        while stack:
+            cmask, imask = stack.pop()
+            if not imask:
+                continue
+            cover = self._tchoice[(cmask << ishift) | imask]
+            w, x, childmask, childimask = self._bchoice[(cmask << ishift) | cover]
+            order.append((w, tuple(iter_bits(cmask ^ (1 << x)))))
+            stack.append((cmask, imask ^ cover))
+            stack.append((childmask, childimask))
         return order
 
     def _diagnose(self):
@@ -235,10 +326,6 @@ class _DPSolver:
         return "infeasible: no spanning k-tree of the host graph retains the backbone"
 
 
-def _index_tuple(mask):
-    return tuple(iter_bits(mask))
-
-
 def solve_retaining_mskt(g: UndirectedGraph, h: BackboneTree, k: int,
                          oracle: ScoreOracle) -> SolveResult:
     """Maximum-score spanning k-tree of g containing every edge of h.
@@ -246,8 +333,12 @@ def solve_retaining_mskt(g: UndirectedGraph, h: BackboneTree, k: int,
     Sweeps all (k+1)-cliques of g as roots and covers the backbone
     components by the memoized dynamic program. Ties break toward the
     lexicographically smallest root clique and, within a state, the
-    smallest (covered ids, pivot, drop) choice. Raises InfeasibleError
-    when no retaining k-tree has a defined score.
+    smallest (covered ids, pivot, drop) choice. Under a root-invariant
+    oracle (ScoreOracle.root_invariant) only the roots holding the
+    smallest backbone edge are swept, and the result is rooted at the
+    k-tree's smallest (k+1)-clique and scored along that creation
+    order. Raises InfeasibleError when no retaining k-tree has a
+    defined score.
     """
     err = validate_backbone(g, h)
     if err is not None:

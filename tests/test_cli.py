@@ -33,7 +33,13 @@ from ktspan.generate import (
     random_explicit_scores,
     random_retaining_ktree,
 )
-from ktspan.information import JointTable, SampleMatrix, build_mi_oracle
+from ktspan.graphs import iter_cliques
+from ktspan.information import (
+    ExplicitScoreOracle,
+    JointTable,
+    SampleMatrix,
+    build_mi_oracle,
+)
 
 
 def write_instance(tmp_path, seed, n=6, k=2, samples=2000):
@@ -151,6 +157,25 @@ def test_solve_infeasible_exits_two(tmp_path, capsys):
                  "--out", str(tmp_path / "r.json")])
     assert code == 2
     assert "infeasible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, k", [(600, 1), (1100, 2)])
+def test_long_chord_paths_solve_without_recursion_error(tmp_path, capsys, n, k):
+    # the DP and its traceback nest one level per backbone vertex on a
+    # path backbone; with distance-2 chords and unit scores every
+    # retaining k-tree scores one per clique, n - k in all
+    g = UndirectedGraph(n, [(i, i + 1) for i in range(n - 1)]
+                        + [(i, i + 2) for i in range(n - 2)])
+    save_graph(tmp_path / "g.json", g, path_backbone(n))
+    cliques = list(iter_cliques(g.adj, k + 1))
+    save_scores(tmp_path / "scores.json", ExplicitScoreOracle(
+        k, {c: 1.0 for c in cliques},
+        {(w, tuple(x for x in c if x != w)): 1.0 for c in cliques for w in c}))
+    code = main(["solve", "--graph", str(tmp_path / "g.json"),
+                 "--scores", str(tmp_path / "scores.json"), "--k", str(k),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 0
+    assert f"score {float(n - k)}" in capsys.readouterr().out.splitlines()
 
 
 def test_solve_k_mismatch_with_score_file(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Dynamic-program solver against the exhaustive enumerator."""
 
+import gc
+import itertools
+
 import numpy as np
 import pytest
 
@@ -30,7 +33,13 @@ from ktspan.generate import (
     random_joint_table,
     sample_markov_ktree,
 )
-from ktspan.information import ExplicitScoreOracle, JointTable, SampleMatrix
+from ktspan.information import (
+    ExplicitScoreOracle,
+    JointTable,
+    SampleMatrix,
+    WeightProductOracle,
+    materialize_scores,
+)
 from ktspan.solver import rescore_result
 
 
@@ -183,6 +192,82 @@ def test_large_k1_solve_matches_the_rerooted_backbone(n):
     res = solve_retaining_mskt(g, h, 1, oracle)
     assert res.ktree.edges == backbone.edges
     assert res.score == best_rooted_score(backbone, h, oracle)[0]
+
+
+def test_solve_leaves_no_solver_for_the_cyclic_collector():
+    # the memo tables go as soon as the solve returns, by reference
+    # counting alone
+    g, h, oracle = seeded_instance(11, 7, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        solve_retaining_mskt(g, h, 2, oracle)
+        left = [o for o in gc.get_objects()
+                if isinstance(o, solver_mod._DPSolver)]
+    finally:
+        gc.enable()
+    assert left == []
+
+
+def weight_product_instance(seed, n):
+    rng = np.random.default_rng(seed)
+    h = random_backbone(n, 3, rng)
+    edges = list(itertools.combinations(range(n), 2))
+    weights = dict(zip(edges, rng.uniform(0.5, 1.5, size=len(edges)).tolist()))
+    return UndirectedGraph(n, edges, weights), h
+
+
+def smallest_clique(t):
+    return min(tuple(sorted(base + (w,))) for w, base in t.creation_order[t.k:])
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_root_invariant_sweep_matches_the_full_sweep(seed):
+    n = 10 + seed % 5
+    k = 1 + seed % 3
+    g, h = weight_product_instance(500 + seed, n)
+    oracle = WeightProductOracle(g)
+    fast = solve_retaining_mskt(g, h, k, oracle)
+    # frozen tables are not root-invariant, so they sweep every root
+    full = solve_retaining_mskt(g, h, k, materialize_scores(oracle, g, k))
+    assert fast.ktree.edges == full.ktree.edges
+    assert abs(fast.score - full.score) <= 1e-12
+    assert fast.ktree.root_clique == smallest_clique(fast.ktree)
+    assert fast.root_score_component == oracle.root_score(fast.ktree.root_clique)
+
+
+class RootLog(WeightProductOracle):
+    def __init__(self, g):
+        super().__init__(g)
+        self.roots = []
+
+    def root_score(self, clique):
+        self.roots.append(tuple(clique))
+        return super().root_score(clique)
+
+
+def test_root_invariant_sweep_keeps_the_smallest_backbone_edge():
+    # on this instance the sweep's best root is not the k-tree's
+    # smallest clique, so the winner is rerooted and its root rescored
+    g, h = weight_product_instance(0, 9)
+    oracle = RootLog(g)
+    res = solve_retaining_mskt(g, h, 2, oracle)
+    u, v = min(h.edges)
+    swept = [c for c in itertools.combinations(range(9), 3) if u in c and v in c]
+    assert oracle.roots == swept + [res.ktree.root_clique]
+    assert res.ktree.root_clique == smallest_clique(res.ktree)
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_weight_products_match_brute(seed):
+    n = 6 + seed % 3
+    k = 1 + seed // 3
+    g, h = weight_product_instance(600 + seed, n)
+    oracle = WeightProductOracle(g)
+    res = solve_retaining_mskt(g, h, k, oracle)
+    winner, best = brute_max_score(enumerate_retaining_ktrees(g, h, k), h, oracle)
+    assert res.score == pytest.approx(best, abs=1e-9)
+    assert res.ktree.edges == winner.edges
 
 
 def test_score_ktree_hand_sum():
