@@ -141,7 +141,7 @@ class BackboneTree:
     validate_backbone to verify tree shape against a host graph.
     """
 
-    __slots__ = ("n", "edges", "degree_bound", "adj")
+    __slots__ = ("n", "edges", "degree_bound", "adj", "_subtrees")
 
     def __init__(self, n: int, edges, degree_bound=None):
         self.n = n
@@ -151,6 +151,38 @@ class BackboneTree:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         self.degree_bound = degree_bound
         self.adj = _adjacency(n, self.edges)
+        self._subtrees = None
+
+    def subtree_masks(self) -> tuple:
+        """sub[v], the vertex mask of v's subtree with the tree rooted at
+        vertex 0; v's children are then adj[v] & sub[v].
+
+        Built on the first call and kept. Raises ValueError naming the
+        problem when the edges do not form a spanning tree.
+        """
+        if self._subtrees is None:
+            n, adj = self.n, self.adj
+            if len(self.edges) != n - 1:
+                raise ValueError(
+                    f"backbone has {len(self.edges)} edges, expected {n - 1}")
+            # breadth-first from vertex 0; parents precede children in
+            # order, so one reverse pass folds each subtree into its parent
+            order = [0]
+            parent = [0] * n
+            seen = 1
+            for v in order:
+                kids = adj[v] & ~seen
+                seen |= kids
+                for c in iter_bits(kids):
+                    parent[c] = v
+                    order.append(c)
+            if len(order) != n:
+                raise ValueError("backbone is not connected")
+            sub = [1 << v for v in range(n)]
+            for v in reversed(order[1:]):
+                sub[parent[v]] |= sub[v]
+            self._subtrees = tuple(sub)
+        return self._subtrees
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -179,19 +211,10 @@ def validate_backbone(g: UndirectedGraph, h: BackboneTree):
     for u, v in sorted(h.edges):
         if (u, v) not in g.edges:
             return f"backbone edge ({u}, {v}) not in host graph"
-    if len(h.edges) != h.n - 1:
-        return f"backbone has {len(h.edges)} edges, expected {h.n - 1}"
-    if h.n > 0:
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= h.adj[v]
-            frontier = nxt & ~seen
-            seen |= nxt
-        if seen != (1 << h.n) - 1:
-            return "backbone is not connected"
+    try:
+        h.subtree_masks()
+    except ValueError as exc:
+        return str(exc)
     if h.degree_bound is not None:
         for v in range(h.n):
             d = h.degree(v)

@@ -5,13 +5,16 @@ connected component is a region the construction must still cover, and
 is named by its smallest vertex. A branch entering a region hands its
 child separator the components that partition what is left of it.
 Bounded backbone degree caps how many regions a separator can create,
-which is what keeps the search state space polynomial.
+which is what keeps the search state space polynomial. Components are
+read off the subtree masks of the backbone rooted at vertex 0, so
+splitting at a separator costs a number of mask operations bounded by
+its size and the backbone degree, not by n.
 """
 
 from __future__ import annotations
 
 from .errors import InconsistentPartitionError
-from .graphs import iter_bits
+from .graphs import BackboneTree, iter_bits
 
 
 def component_count_bound(degree_bound: int, k: int) -> int:
@@ -22,26 +25,35 @@ def component_count_bound(degree_bound: int, k: int) -> int:
     return degree_bound * (k + 1) - k
 
 
-def components_masks(adj, n: int, sep_mask: int):
-    """Connected components after deleting sep_mask, as bitmasks.
+def components_masks(h: BackboneTree, sep_mask: int):
+    """Connected components of the backbone tree h after deleting the
+    vertices of sep_mask, as bitmasks.
 
-    adj is a per-vertex neighbor bitmask list. Returns a list of
-    (min_vertex, component_mask) pairs ascending by min_vertex.
+    Returns a list of (min_vertex, component_mask) pairs ascending by
+    min_vertex. h must be a spanning tree and sep_mask a set of its
+    vertices: ValueError names the problem otherwise. With the tree
+    rooted at vertex 0, each component hangs from one top, vertex 0 or
+    a child of a separator vertex, and is the top's subtree minus the
+    subtrees of the separator vertices below it, so a call costs
+    O((k+1) * degree) mask operations whatever n is.
     """
-    remaining = ((1 << n) - 1) & ~sep_mask
+    sub = h.subtree_masks()
+    if sep_mask >> h.n:
+        raise ValueError(f"separator names a vertex outside 0..{h.n - 1}")
+    adj = h.adj
+    seps = tuple(iter_bits(sep_mask))
+    tops = 1
+    for s in seps:
+        tops |= adj[s] & sub[s]
+    tops &= ~sep_mask
     out = []
-    while remaining:
-        low = remaining & -remaining
-        comp = low
-        frontier = low
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= adj[v]
-            frontier = nxt & remaining & ~comp
-            comp |= frontier
-        out.append((low.bit_length() - 1, comp))
-        remaining &= ~comp
+    for t in iter_bits(tops):
+        comp = sub[t]
+        for s in seps:
+            if comp >> s & 1:
+                comp &= ~sub[s]
+        out.append(((comp & -comp).bit_length() - 1, comp))
+    out.sort()
     return out
 
 

@@ -6,9 +6,16 @@ components at once: the k-tree under construction is free to bridge
 backbone components with its own edges, so the branch hanging off a
 clique covers some union of them. The table therefore keys on
 (clique, id subset); a companion table holds the best single branch
-per (clique, covered subset), which keeps the hot loop linear in n.
-Bitmask cliques and integer-packed keys keep both tables cheap;
-traceback replays winning choices into a creation order.
+per (clique, covered subset), so a table state only splits its ids
+into covers: at most 2^(c-1) of them, where c is
+component_count_bound. A branch state tries each allowed drop with
+each pivot that is both in its region and adjacent to the whole
+remaining base, at most (k+1) * (max host degree) pairs, and splits
+the child separator's components in O((k+1) * backbone degree) mask
+operations. Neither walks the vertices or the backbone, so on hosts
+of bounded degree a state costs the same at any n. Bitmask cliques
+and integer-packed keys keep both tables cheap; traceback replays
+winning choices into a creation order.
 """
 
 from __future__ import annotations
@@ -76,6 +83,8 @@ class _DPSolver:
         # covers of each index mask; region masks are too many to keep
         self._bits = {}
         self._cover_cache = {}
+        # common host neighbourhood of each base mask met so far
+        self._commons = {}
         self._table = {}
         self._tchoice = {}
         self._branch = {}
@@ -85,7 +94,7 @@ class _DPSolver:
     def _components(self, cmask):
         comps = self._comp_cache.get(cmask)
         if comps is None:
-            comps = components_masks(self.hadj, self.n, cmask)
+            comps = components_masks(self.h, cmask)
             if len(comps) > self._bound:
                 raise InconsistentPartitionError(
                     f"{len(comps)} backbone components exceed bound {self._bound}")
@@ -118,6 +127,14 @@ class _DPSolver:
             found.sort(key=self._bits_of)
             covers = self._cover_cache[imask] = tuple(found)
         return covers
+
+    def _common_neighbours(self, basemask):
+        """Host vertices adjacent to every vertex of basemask."""
+        common = -1
+        for b in iter_bits(basemask):
+            common &= self.gadj[b]
+        self._commons[basemask] = common
+        return common
 
     def _score(self, basemask, w):
         key = (basemask << self._pshift) | w
@@ -189,11 +206,24 @@ class _DPSolver:
         for idx in self._bits_of(cover):
             region |= comps[idx][1]
         hadj = self.hadj
+        commons = self._commons
         # a dropped vertex never rejoins a clique below this point, so
-        # any backbone edge from it into the region could never be built
-        drops = [(x, cmask ^ (1 << x))
-                 for x in self._bits_of(cmask) if not hadj[x] & region]
-        gadj = self.gadj
+        # any backbone edge from it into the region could never be built;
+        # the pivot must see the whole base, so a drop's candidates are
+        # the region vertices in its base's common host neighbourhood
+        drops = []
+        pivots = 0
+        for x in self._bits_of(cmask):
+            if hadj[x] & region:
+                continue
+            basemask = cmask ^ (1 << x)
+            common = commons.get(basemask)
+            if common is None:
+                common = self._common_neighbours(basemask)
+            cands = region & common
+            if cands:
+                drops.append((x, basemask, cands))
+                pivots |= cands
         table = self._table
         scores = self._scores
         comp_cache = self._comp_cache
@@ -202,16 +232,15 @@ class _DPSolver:
         best = None
         bestchoice = None
         # pivots in ascending order, peeled off inline: a generator per
-        # region would cost one resume per bit
-        pending = region
+        # state would cost one resume per bit
+        pending = pivots
         while pending:
             wbit = pending & -pending
             pending ^= wbit
             w = wbit.bit_length() - 1
-            gw = gadj[w]
             rem = region ^ wbit
-            for x, basemask in drops:
-                if basemask & ~gw:
+            for x, basemask, cands in drops:
+                if not cands & wbit:
                     continue
                 fs = scores.get((basemask << pshift) | w, _MISSING)
                 if fs is _MISSING:

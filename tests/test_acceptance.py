@@ -134,7 +134,7 @@ def test_criterion_4_separation_bound(capsys):
         n = int(rng.integers(k + 2, 13))
         h = random_backbone(n, d, rng)
         sep = {int(v) for v in rng.choice(n, size=k + 1, replace=False)}
-        if len(components_masks(h.adj, n, mask_of(sep))) > d * (k + 1) - k:
+        if len(components_masks(h, mask_of(sep))) > d * (k + 1) - k:
             violations += 1
         checked += 1
     ok = violations == 0

@@ -32,7 +32,7 @@ def components(h, sep):
     """(id, vertex set) of each component of h minus sep, in the order
     components_masks lists them."""
     return [(cid, frozenset(iter_bits(m)))
-            for cid, m in components_masks(h.adj, h.n, mask_of(sep))]
+            for cid, m in components_masks(h, mask_of(sep))]
 
 
 def test_separate_path_interior():
@@ -49,16 +49,83 @@ def test_separate_star_center():
 
 def test_components_masks_named_by_minimum():
     h = path_backbone(6)
-    comps = components_masks(h.adj, 6, 0b001100)  # remove {2, 3}
+    comps = components_masks(h, 0b001100)  # remove {2, 3}
     assert comps == [(0, 0b000011), (4, 0b110000)]
     # ids come out ascending
     assert [cid for cid, _ in comps] == sorted(cid for cid, _ in comps)
 
 
+def bfs_components(h, sep_mask):
+    """Reference split: breadth-first search from the smallest vertex
+    left, over the whole backbone, one component at a time."""
+    remaining = ((1 << h.n) - 1) & ~sep_mask
+    out = []
+    while remaining:
+        low = remaining & -remaining
+        comp = frontier = low
+        while frontier:
+            nxt = 0
+            for v in iter_bits(frontier):
+                nxt |= h.adj[v]
+            frontier = nxt & remaining & ~comp
+            comp |= frontier
+        out.append((low.bit_length() - 1, comp))
+        remaining &= ~comp
+    return out
+
+
+def relabelled(h, rng):
+    perm = [int(v) for v in rng.permutation(h.n)]
+    return BackboneTree(h.n, [(perm[u], perm[v]) for u, v in h.edges],
+                        h.degree_bound)
+
+
+def test_components_masks_match_bfs_on_random_backbones():
+    rng = np.random.default_rng(2024)
+    for trial in range(320):
+        n = int(rng.integers(2, 301)) if trial % 4 else int(rng.integers(2, 9))
+        h = random_backbone(n, int(rng.integers(2, 5)), rng)
+        if trial % 2:
+            h = relabelled(h, rng)
+        leaves = [v for v in range(n) if h.degree(v) == 1]
+        u, v = sorted(h.edges)[int(rng.integers(n - 1))]
+        size = int(rng.integers(1, min(4, n) + 1))
+        seps = [
+            {0},
+            {int(leaves[int(rng.integers(len(leaves)))])},
+            {u, v},
+            {0, u, v},
+            set(leaves[:size]),
+            {0, *leaves[:size - 1]},
+            {int(x) for x in rng.choice(n, size=size, replace=False)},
+        ]
+        for sep in seps:
+            sep_mask = mask_of(sep)
+            assert components_masks(h, sep_mask) == bfs_components(h, sep_mask)
+
+
+@pytest.mark.parametrize("edges, n, message", [
+    ([(0, 1), (1, 2), (3, 4)], 5, "backbone has 3 edges, expected 4"),
+    ([(0, 1), (1, 2), (2, 3), (3, 0)], 4, "backbone has 4 edges, expected 3"),
+    # n - 1 edges: a triangle and a separate path
+    ([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)], 6, "backbone is not connected"),
+], ids=["forest", "cycle", "disconnected"])
+def test_components_masks_refuses_a_non_tree(edges, n, message):
+    with pytest.raises(ValueError, match=message):
+        components_masks(BackboneTree(n, edges), 0b1)
+
+
+def test_components_masks_refuses_a_separator_outside_the_tree():
+    with pytest.raises(ValueError, match=r"outside 0\.\.4"):
+        components_masks(path_backbone(5), 0b100001)
+    with pytest.raises(ValueError, match=r"outside 0\.\.4"):
+        components_masks(path_backbone(5), -1)
+
+
 def child_ids(h, child, region, pivot):
     """Ids of the components of h minus child that partition region
     minus the pivot, via region_components."""
-    comps = components_masks(h.adj, h.n, mask_of(child))
+    comps = components_masks(h, mask_of(child))
     imask = region_components(comps, mask_of(region) & ~(1 << pivot))
     return frozenset(comps[idx][0] for idx in iter_bits(imask))
 
@@ -84,7 +151,7 @@ def test_region_components_union_region():
 
 def test_region_components_index_mask():
     # removing {2, 3} from the path 0..6 leaves {0, 1} and {4, 5, 6}
-    comps = components_masks(path_backbone(7).adj, 7, 0b0001100)
+    comps = components_masks(path_backbone(7), 0b0001100)
     assert region_components(comps, 0b1110000) == 0b10
     assert region_components(comps, 0b1110011) == 0b11
     assert region_components(comps, 0) == 0

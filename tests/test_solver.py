@@ -31,12 +31,14 @@ from ktspan.generate import (
     random_explicit_scores,
     random_host_graph,
     random_joint_table,
+    random_retaining_ktree,
     sample_markov_ktree,
 )
 from ktspan.information import (
     ExplicitScoreOracle,
     JointTable,
     SampleMatrix,
+    ScoreOracle,
     WeightProductOracle,
     materialize_scores,
 )
@@ -192,6 +194,51 @@ def test_large_k1_solve_matches_the_rerooted_backbone(n):
     res = solve_retaining_mskt(g, h, 1, oracle)
     assert res.ktree.edges == backbone.edges
     assert res.score == best_rooted_score(backbone, h, oracle)[0]
+
+
+@pytest.mark.parametrize("n, k", [(60, 2), (60, 3), (130, 2), (200, 3)])
+def test_ktree_host_solve_returns_the_host(n, k):
+    # a host that is itself a k-tree T retaining the backbone has T as
+    # its only spanning k-tree, since every spanning k-tree on n
+    # vertices has as many edges as T; so best_rooted_score(T) is an
+    # exact answer at any n, and the sparse host leaves most region
+    # vertices outside each base's neighbourhood
+    rng = np.random.default_rng(100 * n + k)
+    h = random_backbone(n, 3, rng)
+    t = random_retaining_ktree(h, k, rng)
+    g = UndirectedGraph(n, t.edges)
+    oracle = random_explicit_scores(g, k, rng)
+    res = solve_retaining_mskt(g, h, k, oracle)
+    assert res.ktree.edges == t.edges
+    assert res.score == best_rooted_score(t, h, oracle)[0]
+
+
+class ScoresNonCliques(ScoreOracle):
+    """Explicit tables that also score every attachment they lack, above
+    any table entry, so only the solver keeps the k-tree on host edges."""
+
+    def __init__(self, tables):
+        self.tables = tables
+
+    def score(self, pivot, base):
+        val = self.tables.score(pivot, base)
+        return 1000.0 if val is None else val
+
+    def root_score(self, clique):
+        return self.tables.root_score(clique)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_pivots_see_the_whole_base_under_a_permissive_oracle(k):
+    n = 40
+    rng = np.random.default_rng(700 + k)
+    h = random_backbone(n, 3, rng)
+    t = random_retaining_ktree(h, k, rng)
+    g = UndirectedGraph(n, t.edges)
+    oracle = ScoresNonCliques(random_explicit_scores(g, k, rng))
+    res = solve_retaining_mskt(g, h, k, oracle)
+    assert res.ktree.edges == t.edges
+    assert res.score == best_rooted_score(t, h, oracle)[0]
 
 
 def test_solve_leaves_no_solver_for_the_cyclic_collector():
