@@ -48,7 +48,6 @@ from .solver import (
     solve_retaining_mskt,
 )
 from .bruteforce import (
-    EnumerationReport,
     best_rooted_score,
     brute_max_score,
     brute_min_kl,

@@ -10,7 +10,6 @@ at desk scale.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import InfeasibleError, InstanceTooLargeError
 from .graphs import (
@@ -33,16 +32,9 @@ CLIQUE_MAX_N = 20
 CLIQUE_MAX_K = 6
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
-    """Outcome of exhaustive k-tree enumeration: instances hold one
-    witness KTree per distinct edge set, sorted by edge list."""
-
-    instances: tuple
-
-
-def enumerate_retaining_ktrees(g: UndirectedGraph, h, k: int) -> EnumerationReport:
-    """All spanning k-trees of g that contain h (all k-trees when h is None).
+def enumerate_retaining_ktrees(g: UndirectedGraph, h, k: int) -> tuple:
+    """All spanning k-trees of g that contain h (all k-trees when h is
+    None), one witness KTree per distinct edge set, sorted by edge list.
 
     Breadth-first over partial constructions deduplicated by (vertex
     set, edge set); a new vertex must immediately receive every
@@ -119,7 +111,7 @@ def enumerate_retaining_ktrees(g: UndirectedGraph, h, k: int) -> EnumerationRepo
             require_retaining(t, h)
         instances.append(t)
     instances.sort(key=lambda t: tuple(sorted(t.edges)))
-    return EnumerationReport(tuple(instances))
+    return tuple(instances)
 
 
 def best_rooted_score(t: KTree, h: BackboneTree, oracle):
@@ -152,15 +144,15 @@ def best_rooted_score(t: KTree, h: BackboneTree, oracle):
     return best, winner
 
 
-def brute_max_score(report: EnumerationReport, h: BackboneTree, oracle):
-    """Maximum construction score over all enumerated instances.
+def brute_max_score(ktrees, h: BackboneTree, oracle):
+    """Maximum construction score over the enumerated k-trees.
 
-    Instances are scanned in sorted-edge-list order, so ties keep the
+    They are scanned in sorted-edge-list order, so ties keep the
     lexicographically least edge set. Returns (ktree, score).
     """
     best = None
     winner = None
-    for t in report.instances:
+    for t in ktrees:
         val, witness = best_rooted_score(t, h, oracle)
         if val is None:
             continue
@@ -175,10 +167,9 @@ def brute_max_score(report: EnumerationReport, h: BackboneTree, oracle):
 def brute_min_kl(p: JointTable, g: UndirectedGraph, h: BackboneTree, k: int):
     """Optimal projection by enumeration: returns the retaining k-tree
     whose induced distribution minimizes D(p || .), with the value."""
-    report = enumerate_retaining_ktrees(g, h, k)
     best = None
     winner = None
-    for t in report.instances:
+    for t in enumerate_retaining_ktrees(g, h, k):
         d = kl_divergence(p, markov_ktree_distribution(t, p))
         if best is None or d < best:
             best = d

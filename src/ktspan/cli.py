@@ -107,15 +107,15 @@ def cmd_kl(args) -> int:
 
 def cmd_oracle(args) -> int:
     g, h = fileio.load_graph(args.graph)
-    report = enumerate_retaining_ktrees(g, h, args.k)
-    print(f"instances {len(report.instances)}")
+    ktrees = enumerate_retaining_ktrees(g, h, args.k)
+    print(f"instances {len(ktrees)}")
     if args.scores is not None:
         if h is None:
             raise ValueError(f'{args.graph} is missing the "backbone" key')
         oracle = fileio.load_scores(args.scores)
         if oracle.k != args.k:
             raise ValueError(f"score file is for k={oracle.k}, requested k={args.k}")
-        best, score = brute_max_score(report, h, oracle)
+        best, score = brute_max_score(ktrees, h, oracle)
         print(f"score {score}")
         if args.out is not None:
             fileio.save_result(args.out, rescore_result(best, h, oracle), oracle)

@@ -123,16 +123,16 @@ def gnp_graph(n: int, p: float, rng) -> UndirectedGraph:
     return UndirectedGraph(n, edges)
 
 
-def random_explicit_scores(g: UndirectedGraph, k: int, rng,
-                           low: int = 0, high: int = 100) -> ExplicitScoreOracle:
-    """Uniform integer score tables covering every (k+1)-clique of g."""
+def random_explicit_scores(g: UndirectedGraph, k: int, rng) -> ExplicitScoreOracle:
+    """Uniform integer score tables, 0..100, covering every (k+1)-clique
+    of g."""
     root = {}
     pivot = {}
     for c in iter_cliques(g.adj, k + 1):
-        root[c] = float(rng.integers(low, high + 1))
+        root[c] = float(rng.integers(0, 101))
         for w in c:
             base = tuple(x for x in c if x != w)
-            pivot[(w, base)] = float(rng.integers(low, high + 1))
+            pivot[(w, base)] = float(rng.integers(0, 101))
     return ExplicitScoreOracle(k, root, pivot)
 
 

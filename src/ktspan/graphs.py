@@ -8,6 +8,7 @@ seed, then attach each further vertex to an existing k-clique.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -382,12 +383,12 @@ def reroot(t: KTree, root) -> KTree:
     """Rewrite t's creation order to start from the (k+1)-clique on the
     given vertices, which may come in any order.
 
-    The edge set is untouched. Simplicial vertices outside the target
-    root are stripped one at a time (smallest first), then replayed in
-    reverse on top of the root seed. Any (k+1)-clique of a k-tree can
-    act as root, so a stall means the input was malformed. Raises
-    ValueError when root is not k+1 distinct vertices of t forming a
-    clique.
+    The edge set is untouched. Vertices outside the target root are
+    stripped one at a time, always the smallest of alive degree k, then
+    replayed in reverse on top of the root seed. In a k-tree a vertex of
+    degree k is simplicial, and any (k+1)-clique can act as root, so a
+    stall means the input was malformed. Raises ValueError when root is
+    not k+1 distinct vertices of t forming a clique.
     """
     root = tuple(sorted(root))
     if len(root) != t.k + 1:
@@ -403,19 +404,22 @@ def reroot(t: KTree, root) -> KTree:
             raise ValueError(f"root is not a clique: missing edge ({u}, {v})")
     alive = (1 << t.n) - 1
     rmask = mask_of(root)
+    degree = [m.bit_count() for m in adj]
+    # non-root vertices of alive degree k, ascending; the vertex list is
+    # already a heap
+    ready = [v for v in range(t.n) if degree[v] == t.k and not rmask >> v & 1]
     strips = []
     while alive != rmask:
-        for v in iter_bits(alive & ~rmask):
-            nb = adj[v] & alive & ~(1 << v)
-            if nb.bit_count() != t.k:
-                continue
-            nbs = tuple(iter_bits(nb))
-            if all(adj[a] >> b & 1 for a, b in itertools.combinations(nbs, 2)):
-                strips.append((v, nbs))
-                alive ^= 1 << v
-                break
-        else:
+        if not ready:
             raise ValueError("rerooting stalled, no simplicial vertex outside root")
+        v = heapq.heappop(ready)
+        alive ^= 1 << v
+        nbs = tuple(iter_bits(adj[v] & alive))
+        strips.append((v, nbs))
+        for u in nbs:
+            degree[u] -= 1
+            if degree[u] == t.k and not rmask >> u & 1:
+                heapq.heappush(ready, u)
     order = [(v, root[:j]) for j, v in enumerate(root[:t.k])]
     order.append((root[t.k], root[:t.k]))
     order.extend(reversed(strips))

@@ -2,8 +2,8 @@
 
 Removing a candidate clique from the backbone leaves a forest. Each
 connected component is a region the construction must still cover, and
-is named by its smallest vertex. A branch entering a region hands its
-child separator the components that partition what is left of it.
+is named by its smallest vertex. A state's region is a union of such
+components; region_components splits it back into them.
 Bounded backbone degree caps how many regions a separator can create,
 which is what keeps the search state space polynomial. Components are
 read off the subtree masks of the backbone rooted at vertex 0, so
@@ -57,19 +57,20 @@ def components_masks(h: BackboneTree, sep_mask: int):
     return out
 
 
-def region_components(comps, region: int) -> int:
-    """Index mask of the components that partition region.
+def region_components(comps, region: int) -> tuple:
+    """The components that partition region, as masks ascending by
+    smallest vertex.
 
-    comps is a components_masks list for a child separator and region
-    the backbone vertices its branch still has to cover. Every component
+    comps is the components_masks list of a clique and region the
+    backbone vertices its state still has to cover. Every component
     meeting region must lie inside it and together they must cover it;
     anything else means the transition itself was malformed.
     """
-    imask = 0
+    parts = []
     covered = 0
-    for idx, (_, m) in enumerate(comps):
+    for _, m in comps:
         if m & region:
-            imask |= 1 << idx
+            parts.append(m)
             covered |= m
     if covered != region:
         for cid, m in comps:
@@ -80,4 +81,4 @@ def region_components(comps, region: int) -> int:
         raise InconsistentPartitionError(
             f"region vertices {tuple(iter_bits(region & ~covered))} are "
             f"unreachable")
-    return imask
+    return tuple(parts)

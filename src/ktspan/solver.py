@@ -1,26 +1,28 @@
 """Dynamic program for backbone-retaining maximum spanning k-trees.
 
-A state pairs a candidate clique with the set of backbone components
-still to be covered below it. One child branch may absorb several
-components at once: the k-tree under construction is free to bridge
-backbone components with its own edges, so the branch hanging off a
-clique covers some union of them. The table therefore keys on
-(clique, id subset); a companion table holds the best single branch
-per (clique, covered subset), so a table state only splits its ids
-into covers: at most 2^(c-1) of them, where c is
+A state pairs a candidate clique with the region still to be covered
+below it: a union of the clique's backbone components. One child branch
+may absorb several components at once: the k-tree under construction is
+free to bridge backbone components with its own edges, so the branch
+hanging off a clique covers some union of them. The table therefore
+keys on (clique, region mask); a companion table holds the best single
+branch per (clique, cover mask), so a table state only splits its
+region's components into covers: at most 2^(c-1) of them, where c is
 component_count_bound. A branch state tries each allowed drop with
 each pivot that is both in its region and adjacent to the whole
-remaining base, at most (k+1) * (max host degree) pairs, and splits
-the child separator's components in O((k+1) * backbone degree) mask
-operations. Neither walks the vertices or the backbone, so on hosts
-of bounded degree a state costs the same at any n. Bitmask cliques
-and integer-packed keys keep both tables cheap; traceback replays
-winning choices into a creation order.
+remaining base, at most (k+1) * (max host degree) pairs, each one memo
+probe of the child state (base plus pivot, region minus pivot); the
+child splits its region into components once, when first filled.
+Neither walks the vertices or the backbone, so on hosts of bounded
+degree a state costs the same at any n. Bitmask cliques and
+integer-packed keys keep both tables cheap; traceback replays winning
+choices into a creation order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import InconsistentPartitionError, InfeasibleError
 from .graphs import (
@@ -56,6 +58,10 @@ class SolveResult:
 class _DPSolver:
     """One solve run; holds the memo tables and the traceback choices.
 
+    A state pairs a clique mask with a region, a union of the clique's
+    backbone components written as a vertex mask: _table and _tchoice
+    key on (clique << n) | region, _branch and _bchoice on
+    (clique << n) | cover for the part of a region one branch covers.
     _solve_frame and _branch_frame are generators that run as frames on
     one explicit work stack (_fill): each probes the memo before asking
     for a child state, so a memo hit costs one dict lookup, and a miss
@@ -73,14 +79,12 @@ class _DPSolver:
         self.gadj = g.adj
         self.hadj = h.adj
         self._bound = component_count_bound(max(h.max_degree(), 1), k)
-        # states pack (clique mask, component index mask) into one int
-        self._ishift = self._bound
         # score-memo keys pack (base mask, pivot) with the pivot in the
         # low bits, which must hold every vertex id
         self._pshift = self.n.bit_length()
         self._comp_cache = {}
-        # iter_bits tuples of clique and cover masks, and the sorted
-        # covers of each index mask; region masks are too many to keep
+        # iter_bits tuples of clique masks, and the cover index tuples
+        # per part count; region masks are too many to keep
         self._bits = {}
         self._cover_cache = {}
         # common host neighbourhood of each base mask met so far
@@ -107,25 +111,17 @@ class _DPSolver:
             bits = self._bits[mask] = tuple(iter_bits(mask))
         return bits
 
-    def _covers(self, imask):
-        """Index masks of the covers holding imask's lowest id, ordered
-        by their id tuples."""
-        covers = self._cover_cache.get(imask)
+    def _covers(self, count):
+        """Index tuples of the covers holding part 0 of a region split
+        into count parts, in lexicographic order."""
+        covers = self._cover_cache.get(count)
         if covers is None:
-            # the component holding the lowest open id is covered by the
-            # next branch; enumerating only covers that contain it visits
-            # every partition into branches exactly once
-            lowbit = imask & -imask
-            found = []
-            sub = imask
-            while True:
-                if sub & lowbit:
-                    found.append(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & imask
-            found.sort(key=self._bits_of)
-            covers = self._cover_cache[imask] = tuple(found)
+            # the part holding the region's smallest vertex is covered by
+            # the next branch; enumerating only covers that contain it
+            # visits every partition into branches exactly once
+            covers = self._cover_cache[count] = tuple(sorted(
+                (0,) + rest for size in range(count)
+                for rest in combinations(range(1, count), size)))
         return covers
 
     def _common_neighbours(self, basemask):
@@ -144,16 +140,16 @@ class _DPSolver:
             self._scores[key] = val
         return val
 
-    def _fill(self, cmask, imask):
-        """Best score covering the index-masked components below cmask,
-        with every state it depends on memoized."""
-        if not imask:
+    def _fill(self, cmask, region):
+        """Best score covering region below cmask, with every state it
+        depends on memoized."""
+        if not region:
             return 0
-        key = (cmask << self._ishift) | imask
+        key = (cmask << self.n) | region
         hit = self._table.get(key, _MISSING)
         if hit is not _MISSING:
             return hit
-        stack = [self._solve_frame(cmask, imask)]
+        stack = [self._solve_frame(cmask, region)]
         while stack:
             child = next(stack[-1], None)
             if child is None:
@@ -162,15 +158,19 @@ class _DPSolver:
                 stack.append(child)
         return self._table[key]
 
-    def _solve_frame(self, cmask, imask):
-        """Fill _table for (cmask, imask): the best split of the indexed
-        components into branches."""
+    def _solve_frame(self, cmask, region):
+        """Fill _table for (cmask, region): the best split of the
+        region's components into branches."""
         table = self._table
         branch = self._branch
-        base = cmask << self._ishift
+        base = cmask << self.n
+        parts = region_components(self._components(cmask), region)
         best = None
         bestcover = None
-        for cover in self._covers(imask):
+        for idxs in self._covers(len(parts)):
+            cover = 0
+            for i in idxs:
+                cover |= parts[i]
             bkey = base | cover
             got = branch.get(bkey, _MISSING)
             if got is _MISSING:
@@ -178,7 +178,7 @@ class _DPSolver:
                 got = branch[bkey]
             if got is None:
                 continue
-            rest = imask ^ cover
+            rest = region ^ cover
             if rest:
                 rkey = base | rest
                 sub = table.get(rkey, _MISSING)
@@ -193,18 +193,14 @@ class _DPSolver:
             if best is None or total > best:
                 best = total
                 bestcover = cover
-        key = base | imask
+        key = base | region
         table[key] = best
         if bestcover is not None:
             self._tchoice[key] = bestcover
 
-    def _branch_frame(self, cmask, cover):
-        """Fill _branch for (cmask, cover): the best single branch below
-        cmask covering exactly the union of the indexed components."""
-        comps = self._components(cmask)
-        region = 0
-        for idx in self._bits_of(cover):
-            region |= comps[idx][1]
+    def _branch_frame(self, cmask, region):
+        """Fill _branch for (cmask, region): the best single branch below
+        cmask covering exactly region."""
         hadj = self.hadj
         commons = self._commons
         # a dropped vertex never rejoins a clique below this point, so
@@ -226,13 +222,13 @@ class _DPSolver:
                 pivots |= cands
         table = self._table
         scores = self._scores
-        comp_cache = self._comp_cache
-        ishift = self._ishift
+        n = self.n
         pshift = self._pshift
         best = None
         bestchoice = None
         # pivots in ascending order, peeled off inline: a generator per
-        # state would cost one resume per bit
+        # state would cost one resume per bit; the child state is the
+        # base plus the pivot, left to cover the rest of the region
         pending = pivots
         while pending:
             wbit = pending & -pending
@@ -247,16 +243,12 @@ class _DPSolver:
                     fs = self._score(basemask, w)
                 if fs is None:
                     continue
-                childmask = basemask | wbit
-                ccomps = comp_cache.get(childmask)
-                if ccomps is None:
-                    ccomps = self._components(childmask)
-                childimask = region_components(ccomps, rem)
-                if childimask:
-                    ckey = (childmask << ishift) | childimask
+                if rem:
+                    childmask = basemask | wbit
+                    ckey = (childmask << n) | rem
                     sub = table.get(ckey, _MISSING)
                     if sub is _MISSING:
-                        yield self._solve_frame(childmask, childimask)
+                        yield self._solve_frame(childmask, rem)
                         sub = table[ckey]
                     if sub is None:
                         continue
@@ -265,8 +257,8 @@ class _DPSolver:
                 total = fs + sub
                 if best is None or total > best:
                     best = total
-                    bestchoice = (w, x, childmask, childimask)
-        key = (cmask << ishift) | cover
+                    bestchoice = (w, x)
+        key = (cmask << n) | region
         self._branch[key] = best
         if bestchoice is not None:
             self._bchoice[key] = bestchoice
@@ -288,7 +280,7 @@ class _DPSolver:
             if rs is None:
                 continue
             rmask = mask_of(members)
-            sub = self._fill(rmask, (1 << len(self._components(rmask))) - 1)
+            sub = self._fill(rmask, ((1 << n) - 1) ^ rmask)
             if sub is None:
                 continue
             total = rs + sub
@@ -322,23 +314,23 @@ class _DPSolver:
         return SolveResult(ktree, score, best_rs)
 
     def _emit(self, members):
-        k = self.k
-        ishift = self._ishift
+        n, k = self.n, self.k
         order = [(v, members[:j]) for j, v in enumerate(members[:k])]
         order.append((members[k], members[:k]))
         rmask = mask_of(members)
         # depth first, each branch's subtree before the next cover of
         # its parent state: the child goes on top of the parent's rest
-        stack = [(rmask, (1 << len(self._components(rmask))) - 1)]
+        stack = [(rmask, ((1 << n) - 1) ^ rmask)]
         while stack:
-            cmask, imask = stack.pop()
-            if not imask:
+            cmask, region = stack.pop()
+            if not region:
                 continue
-            cover = self._tchoice[(cmask << ishift) | imask]
-            w, x, childmask, childimask = self._bchoice[(cmask << ishift) | cover]
-            order.append((w, tuple(iter_bits(cmask ^ (1 << x)))))
-            stack.append((cmask, imask ^ cover))
-            stack.append((childmask, childimask))
+            cover = self._tchoice[(cmask << n) | region]
+            w, x = self._bchoice[(cmask << n) | cover]
+            basemask = cmask ^ (1 << x)
+            order.append((w, tuple(iter_bits(basemask))))
+            stack.append((cmask, region ^ cover))
+            stack.append((basemask | (1 << w), cover ^ (1 << w)))
         return order
 
     def _diagnose(self):

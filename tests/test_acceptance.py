@@ -78,17 +78,17 @@ def test_criterion_1_oracle_optimality(capsys):
         h = random_backbone(n, 3, rng)
         g = UndirectedGraph.complete(n) if i < 70 else random_host_graph(h, 0.5, rng)
         oracle = random_explicit_scores(g, k, rng)
-        report = enumerate_retaining_ktrees(g, h, k)
+        ktrees = enumerate_retaining_ktrees(g, h, k)
         try:
             res = solve_retaining_mskt(g, h, k, oracle)
         except InfeasibleError:
             infeasible += 1
             with pytest.raises(InfeasibleError):
-                brute_max_score(report, h, oracle)
+                brute_max_score(ktrees, h, oracle)
             continue
         _record(h, res)
         feasible += 1
-        _, best = brute_max_score(report, h, oracle)
+        _, best = brute_max_score(ktrees, h, oracle)
         if res.score != best:
             mismatches += 1
     elapsed += time.perf_counter()
@@ -185,7 +185,7 @@ def test_criterion_5_clique_neighbor_bound(capsys):
         instances.append((random_host_graph(h, 0.5, rng), h, k))
     checked = violations = 0
     for g, h, k in instances:
-        for t in enumerate_retaining_ktrees(g, h, k).instances:
+        for t in enumerate_retaining_ktrees(g, h, k):
             checked += 1
             if not _neighbor_bound_holds(t):
                 violations += 1
@@ -288,7 +288,7 @@ def test_criterion_9_census(capsys):
     for n, k in cases:
         expect = math.comb(n, k) * (k * (n - k) + 1) ** (n - k - 2)
         got = len(enumerate_retaining_ktrees(
-            UndirectedGraph.complete(n), None, k).instances)
+            UndirectedGraph.complete(n), None, k))
         rows.append((n, k, got, expect))
     ok = all(got == expect for _, _, got, expect in rows)
     detail = ", ".join(f"({n},{k})={got}" for n, k, got, _ in rows)

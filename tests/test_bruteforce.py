@@ -38,24 +38,24 @@ from ktspan.information import ExplicitScoreOracle, JointTable
 
 def test_k4_path_enumeration():
     g = UndirectedGraph.complete(4)
-    report = enumerate_retaining_ktrees(g, path_backbone(4), 2)
-    assert len(report.instances) == 3
+    ktrees = enumerate_retaining_ktrees(g, path_backbone(4), 2)
+    assert len(ktrees) == 3
     full = set(g.edges)
-    missing = [tuple(sorted(full - set(t.edges)))[0] for t in report.instances]
+    missing = [tuple(sorted(full - set(t.edges)))[0] for t in ktrees]
     assert sorted(missing) == [(0, 2), (0, 3), (1, 3)]
 
 
 def test_seed_sized_host_single_instance():
     g = UndirectedGraph.complete(4)
-    report = enumerate_retaining_ktrees(g, path_backbone(4), 3)
-    assert len(report.instances) == 1
-    assert report.instances[0].edges == frozenset(g.edges)
+    ktrees = enumerate_retaining_ktrees(g, path_backbone(4), 3)
+    assert len(ktrees) == 1
+    assert ktrees[0].edges == frozenset(g.edges)
 
 
 def test_unrestricted_count_is_cayley():
     g = UndirectedGraph.complete(4)
-    report = enumerate_retaining_ktrees(g, None, 1)
-    assert len(report.instances) == 16
+    ktrees = enumerate_retaining_ktrees(g, None, 1)
+    assert len(ktrees) == 16
 
 
 def test_enumeration_guard():
@@ -74,11 +74,11 @@ def test_instances_are_sorted_valid_and_retaining():
         k = int(rng.integers(1, 3))
         h = random_backbone(n, 3, rng)
         g = random_host_graph(h, 0.5, rng)
-        report = enumerate_retaining_ktrees(g, h, k)
-        keys = [tuple(sorted(t.edges)) for t in report.instances]
+        ktrees = enumerate_retaining_ktrees(g, h, k)
+        keys = [tuple(sorted(t.edges)) for t in ktrees]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
-        for t in report.instances:
+        for t in ktrees:
             assert validate_ktree(t) is None
             require_retaining(t, h)
             assert set(t.edges) <= set(g.edges)
@@ -87,32 +87,32 @@ def test_instances_are_sorted_valid_and_retaining():
 def test_brute_max_score_basics():
     g = UndirectedGraph.complete(4)
     h = path_backbone(4)
-    report = enumerate_retaining_ktrees(g, h, 2)
+    ktrees = enumerate_retaining_ktrees(g, h, 2)
     oracle = random_explicit_scores(g, 2, np.random.default_rng(52))
-    winner, best = brute_max_score(report, h, oracle)
-    assert best == max(score_ktree(t, h, oracle) for t in report.instances)
+    winner, best = brute_max_score(ktrees, h, oracle)
+    assert best == max(score_ktree(t, h, oracle) for t in ktrees)
     assert score_ktree(winner, h, oracle) == best
 
 
 def test_brute_max_score_tie_keeps_first():
     g = UndirectedGraph.complete(4)
     h = path_backbone(4)
-    report = enumerate_retaining_ktrees(g, h, 2)
+    ktrees = enumerate_retaining_ktrees(g, h, 2)
     roots = {c: 1.0 for c in itertools.combinations(range(4), 3)}
     pivots = {(w, tuple(b)): 1.0
               for c in itertools.combinations(range(4), 3)
               for w in c for b in [tuple(x for x in c if x != w)]}
-    winner, best = brute_max_score(report, h, ExplicitScoreOracle(2, roots, pivots))
+    winner, best = brute_max_score(ktrees, h, ExplicitScoreOracle(2, roots, pivots))
     assert best == 2.0
-    assert winner.edges == report.instances[0].edges
+    assert winner.edges == ktrees[0].edges
 
 
 def test_brute_max_score_all_forbidden():
     g = UndirectedGraph.complete(4)
     h = path_backbone(4)
-    report = enumerate_retaining_ktrees(g, h, 2)
+    ktrees = enumerate_retaining_ktrees(g, h, 2)
     with pytest.raises(InfeasibleError, match="no enumerated"):
-        brute_max_score(report, h, ExplicitScoreOracle(2, {}, {}))
+        brute_max_score(ktrees, h, ExplicitScoreOracle(2, {}, {}))
 
 
 def test_best_rooted_score_matches_direct_reroot_scan():

@@ -202,6 +202,47 @@ def test_reroot_preserves_edges_any_clique_root():
             assert r.root_clique == node
 
 
+def strip_reroot_order(t, root):
+    """Reference creation order for reroot: rescan the live vertices from
+    the smallest after every strip and take the first whose live
+    neighbourhood is a k-clique."""
+    root = tuple(sorted(root))
+    adj = [0] * t.n
+    for u, v in t.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    alive = (1 << t.n) - 1
+    rmask = mask_of(root)
+    strips = []
+    while alive != rmask:
+        for v in iter_bits(alive & ~rmask):
+            nbs = tuple(iter_bits(adj[v] & alive))
+            if len(nbs) == t.k and all(
+                    adj[a] >> b & 1 for a, b in itertools.combinations(nbs, 2)):
+                strips.append((v, nbs))
+                alive ^= 1 << v
+                break
+        else:
+            raise AssertionError("reference strip stalled")
+    order = [(v, root[:j]) for j, v in enumerate(root[:t.k])]
+    order.append((root[t.k], root[:t.k]))
+    return tuple(order + strips[::-1])
+
+
+def test_reroot_matches_the_strip_loop():
+    rng = np.random.default_rng(17)
+    rootings = 0
+    for trial in range(120):
+        k = int(rng.integers(1, 5))
+        n = int(rng.integers(k + 1, 40))
+        t = random_ktree(n, k, rng)
+        for v, base in t.creation_order[k:]:
+            root = base + (v,)
+            assert reroot(t, root).creation_order == strip_reroot_order(t, root)
+            rootings += 1
+    assert rootings > 2000
+
+
 def test_reroot_rejects_non_clique():
     t = k4_minus_03()
     with pytest.raises(ValueError, match="missing edge"):

@@ -11,7 +11,6 @@ import ktspan
 PUBLIC_NAMES = [
     "BackboneTree",
     "ConditionalTable",
-    "EnumerationReport",
     "ExplicitScoreOracle",
     "HMsktInstance",
     "InconsistentPartitionError",

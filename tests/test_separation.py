@@ -126,8 +126,8 @@ def child_ids(h, child, region, pivot):
     """Ids of the components of h minus child that partition region
     minus the pivot, via region_components."""
     comps = components_masks(h, mask_of(child))
-    imask = region_components(comps, mask_of(region) & ~(1 << pivot))
-    return frozenset(comps[idx][0] for idx in iter_bits(imask))
+    parts = region_components(comps, mask_of(region) & ~(1 << pivot))
+    return frozenset((m & -m).bit_length() - 1 for m in parts)
 
 
 def test_region_components_path_examples():
@@ -149,12 +149,12 @@ def test_region_components_union_region():
     assert child_ids(h, (2, 3), {3, 4}, 3) == frozenset({4})
 
 
-def test_region_components_index_mask():
+def test_region_components_mask_tuple():
     # removing {2, 3} from the path 0..6 leaves {0, 1} and {4, 5, 6}
     comps = components_masks(path_backbone(7), 0b0001100)
-    assert region_components(comps, 0b1110000) == 0b10
-    assert region_components(comps, 0b1110011) == 0b11
-    assert region_components(comps, 0) == 0
+    assert region_components(comps, 0b1110000) == (0b1110000,)
+    assert region_components(comps, 0b1110011) == (0b0000011, 0b1110000)
+    assert region_components(comps, 0) == ()
 
 
 def test_region_components_straddle_is_rejected():

@@ -26,6 +26,7 @@ from ktspan.bruteforce import (
     enumerate_retaining_ktrees,
 )
 from ktspan.generate import (
+    gnp_graph,
     random_backbone,
     random_conditionals,
     random_explicit_scores,
@@ -57,14 +58,14 @@ def seeded_instance(seed, n, k, complete=True):
 
 
 def assert_matches_brute(g, h, k, oracle):
-    report = enumerate_retaining_ktrees(g, h, k)
+    ktrees = enumerate_retaining_ktrees(g, h, k)
     try:
         res = solve_retaining_mskt(g, h, k, oracle)
     except InfeasibleError:
         with pytest.raises(InfeasibleError):
-            brute_max_score(report, h, oracle)
+            brute_max_score(ktrees, h, oracle)
         return None
-    _, best = brute_max_score(report, h, oracle)
+    _, best = brute_max_score(ktrees, h, oracle)
     assert res.score == pytest.approx(best, abs=1e-9)
     assert score_ktree(res.ktree, h, oracle) == pytest.approx(res.score, abs=1e-9)
     return res
@@ -91,8 +92,8 @@ def test_seed_plus_one_is_root_only():
 def test_path_instance_matches_brute_exactly():
     g, h, oracle = seeded_instance(0, 6, 2)
     res = solve_retaining_mskt(g, h, 2, oracle)
-    report = enumerate_retaining_ktrees(g, h, 2)
-    winner, best = brute_max_score(report, h, oracle)
+    ktrees = enumerate_retaining_ktrees(g, h, 2)
+    winner, best = brute_max_score(ktrees, h, oracle)
     assert res.score == pytest.approx(best, abs=1e-9)
     assert res.ktree.edges == winner.edges
 
@@ -160,6 +161,35 @@ def test_memoization_does_not_change_the_answer():
         assert res.ktree.edges == ref.ktree.edges
 
 
+def dense_path_instance():
+    rng = np.random.default_rng(31)
+    n = 20
+    edges = list(itertools.combinations(range(n), 2))
+    g = UndirectedGraph(n, edges, {e: float(rng.uniform(0.5, 1.5)) for e in edges})
+    return g, path_backbone(n), 2, WeightProductOracle(g)
+
+
+def sparse_ktree_plus_chords_instance():
+    rng = np.random.default_rng(32)
+    n = 60
+    h = random_backbone(n, 3, rng)
+    t = random_retaining_ktree(h, 2, rng)
+    g = UndirectedGraph(n, set(t.edges) | set(gnp_graph(n, 0.1, rng).edges))
+    return g, h, 2, random_explicit_scores(g, 2, rng)
+
+
+@pytest.mark.parametrize("instance, sizes", [
+    (dense_path_instance, (4114, 5490, 2091)),
+    (sparse_ktree_plus_chords_instance, (1671, 2727, 305)),
+], ids=["dense", "sparse"])
+def test_dp_state_counts_are_pinned(instance, sizes):
+    # one table state per (clique, region), one branch state per
+    # (clique, cover) and one oracle call per (base, pivot) reached
+    s = solver_mod._DPSolver(*instance())
+    s.solve()
+    assert (len(s._table), len(s._branch), len(s._scores)) == sizes
+
+
 def test_pivots_above_127_keep_distinct_memo_keys():
     # backbone 129-0-1-...-128: only the root (0, 129) attaches 1 to 0
     # without also attaching 129 to 0
@@ -196,7 +226,7 @@ def test_large_k1_solve_matches_the_rerooted_backbone(n):
     assert res.score == best_rooted_score(backbone, h, oracle)[0]
 
 
-@pytest.mark.parametrize("n, k", [(60, 2), (60, 3), (130, 2), (200, 3)])
+@pytest.mark.parametrize("n, k", [(60, 2), (60, 3), (130, 2), (200, 3), (400, 2)])
 def test_ktree_host_solve_returns_the_host(n, k):
     # a host that is itself a k-tree T retaining the backbone has T as
     # its only spanning k-tree, since every spanning k-tree on n
