@@ -266,6 +266,46 @@ def test_well_formed_joint_and_result_files_pass_kl(tmp_path, capsys):
     assert capsys.readouterr().out == "0.000000\n"
 
 
+GRAPH_2 = {"n": 2, "edges": [[0, 1]], "backbone": [[0, 1]]}
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--graph", "{dir}/g.json", "--samples", "{dir}/s.csv", "--k", "1",
+     "--out", "{dir}/r.json"],
+    ["chowliu", "--samples", "{dir}/s.csv", "--out", "{dir}/t.json"],
+])
+def test_sample_cell_beyond_int64_is_a_data_error(tmp_path, capsys, command):
+    (tmp_path / "g.json").write_text(json.dumps(GRAPH_2))
+    (tmp_path / "s.csv").write_text("x0,x1\n0,99999999999999999999\n")
+    assert main([a.format(dir=tmp_path) for a in command]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path}/s.csv: non-integer cell in sample rows\n")
+
+
+@pytest.mark.parametrize("section, key, message", [
+    ("root", "a,1", "is not comma-separated integers"),
+    ("pivot", "1|x", 'is not "pivot|base" integers'),
+    ("pivot", "1,0", 'is not "pivot|base" integers'),
+])
+def test_non_integer_score_key_names_file_and_key(tmp_path, capsys,
+                                                  section, key, message):
+    (tmp_path / "g.json").write_text(json.dumps(GOOD_GRAPH))
+    (tmp_path / "s.json").write_text(json.dumps(dict(GOOD_SCORES, **{section: {key: 1.0}})))
+    assert main(["solve", "--graph", str(tmp_path / "g.json"),
+                 "--scores", str(tmp_path / "s.json"), "--k", "1",
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path}/s.json: key {key!r} {message}\n"
+
+
+def test_non_integer_joint_key_names_file_and_key(tmp_path, capsys):
+    (tmp_path / "j.json").write_text(json.dumps(dict(GOOD_JOINT, probs={"a,0,0": 1.0})))
+    (tmp_path / "r.json").write_text(json.dumps(GOOD_RESULT))
+    assert main(["kl", "--joint", str(tmp_path / "j.json"),
+                 "--result", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path}/j.json: assignment 'a,0,0' is not comma-separated integers\n")
+
+
 def test_threads_flag_never_changes_output(tmp_path, capsys):
     out = write_instance(tmp_path, 11)
     results = []

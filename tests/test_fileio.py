@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -221,3 +222,259 @@ def test_dot_isolated_vertices(tmp_path):
     out = tmp_path / "t.dot"
     save_dot(out, t)
     assert out.read_text() == dot
+
+
+# The per-cell loaders the whole-array ones replaced, kept as references.
+# Both carry the messages the whole-array loaders give where the loops
+# used to differ: a bare int() error for a non-integer key, and
+# "non-integer" (or a raw OverflowError) for a ragged or int64-overflowing
+# sample row.
+
+def reference_load_joint(path):
+    obj = json.loads(path.read_text())
+    variables, alphabets, probs = obj["vars"], obj["alphabets"], obj["probs"]
+    table = np.zeros(tuple(alphabets))
+    for key, p in probs.items():
+        try:
+            idx = tuple(int(x) for x in key.split(","))
+        except ValueError:
+            raise ValueError(
+                f"{path}: assignment {key!r} is not comma-separated integers") from None
+        if len(idx) != len(variables):
+            raise ValueError(f"{path}: assignment {key!r} has wrong arity")
+        if any(not 0 <= x < a for x, a in zip(idx, alphabets)):
+            raise ValueError(f"{path}: assignment {key!r} is out of range")
+        table[idx] = float(p)
+    return JointTable(tuple(variables), table)
+
+
+def reference_load_samples(path):
+    with open(path) as fh:
+        header = fh.readline().strip()
+        cols = header.split(",") if header else []
+        if not cols or cols != [f"x{i}" for i in range(len(cols))]:
+            raise ValueError(f"{path}: header must be x0,x1,...")
+        rows = [line.strip() for line in fh if line.strip()]
+    if not rows:
+        raise ValueError(f"{path}: no sample rows")
+    if any(len(row.split(",")) != len(cols) for row in rows):
+        raise ValueError(f"{path}: row width disagrees with header")
+    try:
+        data = np.array([[int(x) for x in row.split(",")] for row in rows],
+                        dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise ValueError(f"{path}: non-integer cell in sample rows") from None
+    return SampleMatrix(data)
+
+
+def reference_save_samples(path, samples):
+    with open(path, "w") as fh:
+        fh.write(",".join(f"x{i}" for i in range(samples.n)) + "\n")
+        np.savetxt(fh, samples.data, fmt="%d", delimiter=",")
+
+
+def reference_save_joint(path, p):
+    probs = {}
+    for idx in np.ndindex(*p.table.shape):
+        probs[",".join(map(str, idx))] = float(p.table[idx])
+    with open(path, "w") as fh:
+        json.dump({"vars": list(p.variables), "alphabets": list(p.table.shape),
+                   "probs": probs}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def outcome(load, path):
+    """A loader's table or its error, in a form that compares by value."""
+    try:
+        got = load(path)
+    except Exception as exc:  # compared with the reference's error
+        return type(exc), str(exc)
+    if isinstance(got, JointTable):
+        return got.variables, got.table.shape, got.table.tolist()
+    return got.data.shape, got.data.tolist(), got.alphabet_sizes
+
+
+BAD_CELLS = ["a", "1.0", "1.5", "1#x", "0x1", "", " ", "-1", "99999999999999999999"]
+
+
+def spaced(cells, style):
+    """Join integer cells with commas, with spaces around them by style."""
+    if style == 0:
+        return ", ".join(cells)
+    if style == 1:
+        return " " + ",".join(cells) + " "
+    if style == 2:
+        return ",".join(f" {c}\t" for c in cells)
+    return ",".join(cells)
+
+
+def random_joint_obj(rng):
+    n = int(rng.integers(1, 9))
+    alphabets = []
+    for _ in range(n):
+        a = int(rng.integers(2, 6))
+        alphabets.append(a if np.prod(alphabets + [a]) <= 4096 else 2)
+    cells = list(np.ndindex(*alphabets))
+    keep = rng.random(len(cells)) < rng.choice([0.1, 0.5, 1.0])
+    kept = [c for c, k in zip(cells, keep) if k] or cells[:1]
+    mass = rng.random(len(kept))
+    mass /= mass.sum()
+    styles = rng.integers(4, size=len(kept))
+    items = [(spaced([str(x) for x in c], style), float(p))
+             for c, style, p in zip(kept, styles, mass)]
+    rng.shuffle(items)
+    if rng.random() < 0.2:
+        # the same cell under a second spelling: the later key wins, so
+        # the earlier one gets a mass that would break the sum
+        j = int(rng.integers(len(items)))
+        key, p = items[j]
+        at = int(rng.integers(len(items) + 1))
+        items.insert(at, (" " + key.replace(",", " , ") + " ", p))
+        if at <= j:
+            items[at] = (items[at][0], 0.5)
+        else:
+            items[j] = (key, 0.5)
+    if rng.random() < 0.5:
+        bad = [str(int(x)) for x in cells[int(rng.integers(len(cells)))]]
+        kind = rng.integers(4)
+        if kind == 0:
+            bad[int(rng.integers(n))] = str(rng.choice(BAD_CELLS))
+        elif kind == 1:
+            bad.append("0") if rng.random() < 0.5 or n == 1 else bad.pop()
+        elif kind == 2:
+            i = int(rng.integers(n))
+            bad[i] = str(alphabets[i] + int(rng.integers(3)))
+        key = "" if kind == 3 else ",".join(bad)
+        items.insert(int(rng.integers(len(items) + 1)), (key, 0.25))
+    variables = [int(v) for v in rng.permutation(20)[:n]]
+    return {"vars": variables, "alphabets": alphabets, "probs": dict(items)}
+
+
+@pytest.mark.parametrize("first_seed", [0, 50, 100, 150])
+def test_load_joint_matches_the_per_cell_loop(tmp_path, first_seed):
+    p = tmp_path / "joint.json"
+    for seed in range(first_seed, first_seed + 50):
+        obj = random_joint_obj(np.random.default_rng([seed, 7]))
+        p.write_text(json.dumps(obj))
+        want = outcome(reference_load_joint, p)
+        assert outcome(load_joint, p) == want, (seed, want)
+        if isinstance(want[0], type):
+            continue
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        save_joint(a, load_joint(p))
+        reference_save_joint(b, load_joint(p))
+        assert a.read_bytes() == b.read_bytes(), seed
+
+
+def test_load_joint_over_several_parse_blocks(tmp_path):
+    rng = np.random.default_rng(85)
+    shape = (2,) * 14
+    table = rng.random(shape)
+    p = JointTable(range(14), table / table.sum())
+    path = tmp_path / "joint.json"
+    save_joint(path, p)
+    back = load_joint(path)
+    assert np.array_equal(back.table, p.table)
+    assert outcome(load_joint, path) == outcome(reference_load_joint, path)
+    obj = json.loads(path.read_text())
+    items = list(obj["probs"].items())
+    rng.shuffle(items)
+    # bad keys in the second and third blocks only; the first in file
+    # order is out of range
+    items.insert(12000, ("0," * 13 + "a", 0.0))
+    items.insert(9000, (" " + "1," * 13 + "2", 0.0))
+    items.append(("0", 0.0))
+    obj["probs"] = dict(items)
+    path.write_text(json.dumps(obj))
+    want = outcome(reference_load_joint, path)
+    assert want[1].endswith("is out of range")
+    assert outcome(load_joint, path) == want
+
+
+@pytest.mark.parametrize("key", ["1_0", "١", "\n0", "0\n\n", "0\r1", "+ 1", "", "\n"])
+def test_load_joint_keys_are_ascii_integers(tmp_path, key):
+    p = tmp_path / "joint.json"
+    p.write_text(json.dumps({"vars": [0], "alphabets": [2], "probs": {key: 1.0}}))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{p}: assignment {key!r} is not comma-separated integers")):
+            load_joint(p)
+    assert seen == []
+
+
+def test_load_joint_names_the_first_bad_key(tmp_path):
+    p = tmp_path / "joint.json"
+    p.write_text(json.dumps({"vars": [0], "alphabets": [2],
+                             "probs": {"1\n": 0.5, "0\r\n": 0.5, "a": 0.0, "2": 0.0}}))
+    with pytest.raises(ValueError, match=re.escape(f"{p}: assignment 'a' is not")):
+        load_joint(p)
+
+
+@pytest.mark.parametrize("key", ["1\n", "1\r\n", " +1\t"])
+def test_load_joint_allows_whitespace_around_a_key(tmp_path, key):
+    p = tmp_path / "joint.json"
+    p.write_text(json.dumps({"vars": [0], "alphabets": [2],
+                             "probs": {key: 0.75, "0": 0.25}}))
+    assert load_joint(p).table.tolist() == [0.25, 0.75]
+
+
+def random_samples_text(rng):
+    n = int(rng.integers(1, 9))
+    data = rng.integers(0, rng.integers(2, 6), size=(int(rng.integers(1, 40)), n))
+    lines = [spaced([str(x) for x in row], style)
+             for row, style in zip(data, rng.integers(4, size=len(data)))]
+    for _ in range(int(rng.integers(3))):
+        lines.insert(int(rng.integers(len(lines) + 1)), rng.choice(["", "  ", "\t"]))
+    if rng.random() < 0.5:
+        row = [str(x) for x in data[0]]
+        kind = rng.integers(3)
+        if kind == 0:
+            row[int(rng.integers(n))] = str(rng.choice(BAD_CELLS))
+        elif kind == 1:
+            row.append(str(rng.choice(["0", ""])))
+        elif n > 1:
+            row.pop()
+        lines.insert(int(rng.integers(len(lines) + 1)), ",".join(row))
+    header = ",".join(f"x{i}" for i in range(n))
+    return header + "\n" + "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("first_seed", [0, 100])
+def test_load_samples_matches_the_per_cell_loop(tmp_path, first_seed):
+    p = tmp_path / "s.csv"
+    for seed in range(first_seed, first_seed + 100):
+        p.write_text(random_samples_text(np.random.default_rng([seed, 8])))
+        want = outcome(reference_load_samples, p)
+        assert outcome(load_samples, p) == want, (seed, want)
+        if isinstance(want[0], type):
+            continue
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_samples(a, load_samples(p))
+        reference_save_samples(b, load_samples(p))
+        assert a.read_bytes() == b.read_bytes(), seed
+
+
+def test_save_samples_over_several_blocks(tmp_path):
+    s = SampleMatrix(np.random.default_rng(86).integers(0, 12, size=(20000, 3)))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    save_samples(a, s)
+    reference_save_samples(b, s)
+    assert a.read_bytes() == b.read_bytes()
+    assert np.array_equal(load_samples(a).data, s.data)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x0,x1\n0,1,1\n", "row width disagrees with header"),
+    ("x0,x1\n0,1,\n", "row width disagrees with header"),
+    ("x0,x1\n0,1\n1\n", "row width disagrees with header"),
+    ("x0,x1\n0,1.5\n", "non-integer cell in sample rows"),
+    ("x0,x1\na,1\n", "non-integer cell in sample rows"),
+    ("x0,x1\n0,1#x\n", "non-integer cell in sample rows"),
+    ("x0,x1\n0,99999999999999999999\n", "non-integer cell in sample rows"),
+])
+def test_sample_row_errors(tmp_path, text, message):
+    p = tmp_path / "s.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
+        load_samples(p)
