@@ -30,7 +30,6 @@ from .information import (
     SampleMatrix,
     ScoreOracle,
     WeightProductOracle,
-    build_mi_oracle,
     entropy,
     kl_divergence,
     markov_ktree_distribution,

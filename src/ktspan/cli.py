@@ -8,20 +8,15 @@ the driver is single-threaded; output bytes never depend on it.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from . import fileio
 from .bruteforce import brute_max_score, enumerate_retaining_ktrees
-from .errors import (
-    InconsistentPartitionError,
-    InfeasibleError,
-    InstanceTooLargeError,
-    NotRetainingError,
-)
+from .errors import InfeasibleError, KtspanError
 from .generate import gen_instance
-from .information import build_mi_oracle, kl_divergence, markov_ktree_distribution, materialize_scores
+from .information import (MutualInformationOracle, kl_divergence,
+                          markov_ktree_distribution, materialize_scores)
 from .reduction import decide_kclique
 from .solver import chow_liu, rescore_result, solve_retaining_mskt
 
@@ -58,7 +53,7 @@ def cmd_fit(args) -> int:
     g, _ = fileio.load_graph(args.graph)
     if samples.n != g.n:
         raise ValueError(f"samples have {samples.n} variables but graph has {g.n}")
-    oracle = build_mi_oracle(samples, g, args.k)
+    oracle = MutualInformationOracle(samples, g)
     fileio.save_scores(args.out, materialize_scores(oracle, g, args.k))
     return 0
 
@@ -75,7 +70,7 @@ def cmd_solve(args) -> int:
         samples = fileio.load_samples(args.samples)
         if samples.n != g.n:
             raise ValueError(f"samples have {samples.n} variables but graph has {g.n}")
-        oracle = build_mi_oracle(samples, g, args.k)
+        oracle = MutualInformationOracle(samples, g)
     result = solve_retaining_mskt(g, h, args.k, oracle)
     if args.format == "dot":
         fileio.save_dot(args.out, result.ktree, h)
@@ -208,9 +203,7 @@ def main(argv=None) -> int:
     except InfeasibleError as ex:
         print(str(ex), file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError,
-            InstanceTooLargeError, NotRetainingError,
-            InconsistentPartitionError) as ex:
+    except (ValueError, KeyError, OSError, KtspanError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
 

@@ -4,8 +4,8 @@ JSON, result JSON, and DOT rendering.
 All JSON is written with sorted keys and a trailing newline so
 identical inputs produce byte-identical files.
 
-Samples and joint assignment keys are converted to and from integer
-arrays a block of lines at a time.
+Samples and integer keys are converted to and from integer arrays a
+block of lines at a time.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import re
 import warnings
 
 import numpy as np
@@ -27,8 +26,8 @@ from .solver import SolveResult
 # raised peak RSS by about 6 MB; 8,192-line blocks by about 0.1 MB.
 _BLOCK_LINES = 8192
 
-# one cell as np.loadtxt reads an int64: whitespace, a sign, ASCII digits
-_INT_CELL = re.compile(r"\s*[+-]?[0-9]+\s*")
+# an integer cell too wide for int64 parses once its digits are zeroed
+_ZERO_DIGITS = str.maketrans("123456789", "000000000")
 
 
 def _load_json(path):
@@ -103,34 +102,53 @@ def _int_rows(lines):
         return None
 
 
-def _key_integers(key):
-    """The integers of one assignment key, or None where `_int_rows`
-    refuses the key as a line: a cell that is not an integer, or a line
-    break anywhere but one at the end."""
-    line = key
-    if key.endswith("\r\n"):
-        line = key[:-2]
-    elif key.endswith(("\n", "\r")):
-        line = key[:-1]
-    cells = line.split(",")
-    if "\n" in line or "\r" in line or not all(map(_INT_CELL.fullmatch, cells)):
-        return None
-    return [int(c) for c in cells]
+def _fits(rows, count, width, bounds):
+    return (rows is not None and rows.shape == (count, width)
+            and (bounds is None or not ((rows < 0).any() or (rows >= bounds).any())))
 
 
-def _raise_first_bad_assignment(path, keys, alphabets):
-    """Raise for the first key, in file order, that is not an in-range
-    assignment; the last raise covers a key `_int_rows` refused for a
-    reason `_key_integers` does not know."""
-    for key in keys:
-        idx = _key_integers(key)
-        if idx is None:
-            raise ValueError(f"{path}: assignment {key!r} is not comma-separated integers")
-        if len(idx) != len(alphabets):
-            raise ValueError(f"{path}: assignment {key!r} has wrong arity")
-        if any(not 0 <= x < a for x, a in zip(idx, alphabets)):
-            raise ValueError(f"{path}: assignment {key!r} is out of range")
-    raise ValueError(f"{path}: assignment keys must be comma-separated integers")
+def _int_key_blocks(path, keys, width, label="key",
+                    grammar="is not comma-separated integers", lines=None,
+                    bounds=None):
+    """Parse JSON object keys of `width` comma-separated integers.
+
+    Yields (start, rows) per block of at most _BLOCK_LINES keys, where
+    rows is the int64 array of keys[start:start + len(rows)]. `lines`
+    is the text parsed for each key where that is not the key itself;
+    `bounds`, when given, are exclusive upper bounds per column, and 0
+    is every column's lower bound. A block that fails is parsed again
+    one key at a time, and the error names the first bad key in file
+    order: not integers, the wrong width, or out of range, which an
+    integer too wide for int64 always is.
+    """
+    lines = keys if lines is None else lines
+    for start in range(0, len(keys), _BLOCK_LINES):
+        block = lines[start:start + _BLOCK_LINES]
+        rows = _int_rows(block)
+        if not _fits(rows, len(block), width, bounds):
+            for key, line in zip(keys[start:start + len(block)], block):
+                row = _int_rows([line])
+                wide = row is None
+                if wide:
+                    row = _int_rows([line.translate(_ZERO_DIGITS)])
+                if row is None:
+                    problem = grammar
+                elif row.shape[1] != width:
+                    problem = "has wrong arity"
+                elif wide or not _fits(row, 1, width, bounds):
+                    problem = "is out of range"
+                else:
+                    continue
+                raise ValueError(f"{path}: {label} {key!r} {problem}")
+            raise ValueError(f"{path}: keys must be comma-separated integers")
+        yield start, rows
+
+
+def _int_key_items(path, mapping, width, **kwargs):
+    """(integers of the key as a list, value) per item of a JSON object."""
+    rows = (row for _, block in _int_key_blocks(path, list(mapping), width, **kwargs)
+            for row in block.tolist())
+    return zip(rows, mapping.values())
 
 
 def load_graph(path):
@@ -144,10 +162,8 @@ def load_graph(path):
     edges = _edge_list(_require(obj, "edges", path), "edges", path)
     weights = None
     if obj.get("weights") is not None:
-        weights = {}
-        for key, w in _number_map(obj["weights"], "weights", path).items():
-            u, _, v = key.partition(",")
-            weights[(int(u), int(v))] = float(w)
+        weights = {(u, v): float(w) for (u, v), w in _int_key_items(
+            path, _number_map(obj["weights"], "weights", path), 2)}
     g = UndirectedGraph(n, edges, weights)
     h = None
     if obj.get("backbone") is not None:
@@ -171,25 +187,23 @@ def save_graph(path, g: UndirectedGraph, h: BackboneTree | None = None):
     _dump_json(path, obj)
 
 
+def _pivot_line(key):
+    """A pivot key "w|b1,...,bk" as the line "w,b1,...,bk"; a key with
+    no "|", or a "," before it, becomes "|", which parses as no integer."""
+    w, bar, base = key.partition("|")
+    return f"{w},{base}" if bar and "," not in w else "|"
+
+
 def load_scores(path) -> ExplicitScoreOracle:
     """Read explicit score tables; absent entries mean forbidden."""
     obj = _load_json(path)
     k = _integer(_require(obj, "k", path), "k", path)
-    root = {}
-    for key, s in _number_map(obj.get("root", {}), "root", path).items():
-        try:
-            root[tuple(int(x) for x in key.split(","))] = float(s)
-        except ValueError:
-            raise ValueError(
-                f"{path}: key {key!r} is not comma-separated integers") from None
-    pivot = {}
-    for key, s in _number_map(obj.get("pivot", {}), "pivot", path).items():
-        wpart, _, cpart = key.partition("|")
-        try:
-            pivot[(int(wpart), tuple(int(x) for x in cpart.split(",")))] = float(s)
-        except ValueError:
-            raise ValueError(
-                f'{path}: key {key!r} is not "pivot|base" integers') from None
+    root = {tuple(c): float(s) for c, s in _int_key_items(
+        path, _number_map(obj.get("root", {}), "root", path), k + 1)}
+    pivots = _number_map(obj.get("pivot", {}), "pivot", path)
+    pivot = {(w, tuple(base)): float(s) for (w, *base), s in _int_key_items(
+        path, pivots, k + 1, grammar='is not "pivot|base" integers',
+        lines=list(map(_pivot_line, pivots)))}
     return ExplicitScoreOracle(k, root, pivot)
 
 
@@ -251,15 +265,11 @@ def load_joint(path) -> JointTable:
     table = np.zeros(tuple(alphabets))
     keys = list(probs)
     values = np.fromiter(probs.values(), dtype=float, count=len(keys))
-    for start in range(0, len(keys), _BLOCK_LINES):
-        block = keys[start:start + _BLOCK_LINES]
-        idx = _int_rows(block)
-        if (idx is None or idx.shape != (len(block), len(alphabets))
-                or (idx < 0).any() or (idx >= alphabets).any()):
-            _raise_first_bad_assignment(path, block, alphabets)
+    for start, idx in _int_key_blocks(path, keys, len(alphabets),
+                                      label="assignment", bounds=alphabets):
         # a later key naming the same cell overwrites it, as in file order
         table.reshape(-1)[np.ravel_multi_index(idx.T, table.shape)] = \
-            values[start:start + len(block)]
+            values[start:start + len(idx)]
     return JointTable(tuple(variables), table)
 
 

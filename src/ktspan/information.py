@@ -226,6 +226,7 @@ class MutualInformationOracle(ScoreOracle):
     """
 
     def __init__(self, source, g: UndirectedGraph):
+        _source_sizes(source, g.n)  # refuses a source that misses a vertex
         self.source = source
         self.g = g
         self._entropies = _Entropies(source)
@@ -241,14 +242,6 @@ class MutualInformationOracle(ScoreOracle):
         if not self.g.is_clique(members):
             return None
         return self._entropies.total_correlation(members)
-
-
-def build_mi_oracle(source, g: UndirectedGraph, k: int) -> MutualInformationOracle:
-    """Mutual-information score oracle over the cliques of g."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    _source_sizes(source, g.n)
-    return MutualInformationOracle(source, g)
 
 
 class WeightProductOracle(ScoreOracle):

@@ -17,8 +17,8 @@ import pytest
 from ktspan import (
     InfeasibleError,
     KTree,
+    MutualInformationOracle,
     UndirectedGraph,
-    build_mi_oracle,
     build_tree_decomposition,
     chow_liu,
     kl_divergence,
@@ -110,7 +110,7 @@ def test_criterion_3_projection_end_to_end(capsys):
     worst = 0.0
     for _ in range(20):
         p = random_joint_table((2,) * 5, rng)
-        oracle = build_mi_oracle(p, g, 2)
+        oracle = MutualInformationOracle(p, g)
         res = solve_retaining_mskt(g, h, 2, oracle)
         _record(h, res)
         achieved = kl_divergence(p, markov_ktree_distribution(res.ktree, p))

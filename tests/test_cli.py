@@ -37,8 +37,8 @@ from ktspan.graphs import iter_cliques
 from ktspan.information import (
     ExplicitScoreOracle,
     JointTable,
+    MutualInformationOracle,
     SampleMatrix,
-    build_mi_oracle,
 )
 
 
@@ -105,7 +105,7 @@ def test_fit_solve_round_trip_matches_library(tmp_path, capsys):
 
     g, h = load_graph(out / "graph.json")
     samples = load_samples(out / "samples.csv")
-    ref = solve_retaining_mskt(g, h, 2, build_mi_oracle(samples, g, 2))
+    ref = solve_retaining_mskt(g, h, 2, MutualInformationOracle(samples, g))
     assert float(lines[0].split()[1]) == ref.score
     t, obj = load_result_ktree(out / "result.json")
     assert t.edges == ref.ktree.edges
@@ -284,17 +284,33 @@ def test_sample_cell_beyond_int64_is_a_data_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("section, key, message", [
     ("root", "a,1", "is not comma-separated integers"),
+    ("root", "0,1_0", "is not comma-separated integers"),
+    ("root", "0,1,2", "has wrong arity"),
+    ("root", "0,99999999999999999999", "is out of range"),
     ("pivot", "1|x", 'is not "pivot|base" integers'),
     ("pivot", "1,0", 'is not "pivot|base" integers'),
+    ("pivot", "0,1|2", 'is not "pivot|base" integers'),
+    ("pivot", "2|\u0661", 'is not "pivot|base" integers'),
+    ("weights", "a,1", "is not comma-separated integers"),
+    ("weights", "1,2,3", "has wrong arity"),
+    ("weights", "1", "has wrong arity"),
+    ("weights", "0,1_0", "is not comma-separated integers"),
+    ("weights", "0,\u0661", "is not comma-separated integers"),
 ])
 def test_non_integer_score_key_names_file_and_key(tmp_path, capsys,
                                                   section, key, message):
-    (tmp_path / "g.json").write_text(json.dumps(GOOD_GRAPH))
-    (tmp_path / "s.json").write_text(json.dumps(dict(GOOD_SCORES, **{section: {key: 1.0}})))
+    # int() reads "1_0" as 10 and "\u0661" as 1; keys take ASCII digits only
+    graph, scores = GOOD_GRAPH, GOOD_SCORES
+    if section == "weights":
+        graph, bad = dict(graph, weights={key: 1.0}), "g.json"
+    else:
+        scores, bad = dict(scores, **{section: {key: 1.0}}), "s.json"
+    (tmp_path / "g.json").write_text(json.dumps(graph))
+    (tmp_path / "s.json").write_text(json.dumps(scores))
     assert main(["solve", "--graph", str(tmp_path / "g.json"),
                  "--scores", str(tmp_path / "s.json"), "--k", "1",
                  "--out", str(tmp_path / "r.json")]) == 1
-    assert capsys.readouterr().err == f"error: {tmp_path}/s.json: key {key!r} {message}\n"
+    assert capsys.readouterr().err == f"error: {tmp_path}/{bad}: key {key!r} {message}\n"
 
 
 def test_non_integer_joint_key_names_file_and_key(tmp_path, capsys):

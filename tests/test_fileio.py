@@ -406,7 +406,8 @@ def test_load_joint_keys_are_ascii_integers(tmp_path, key):
 def test_load_joint_names_the_first_bad_key(tmp_path):
     p = tmp_path / "joint.json"
     p.write_text(json.dumps({"vars": [0], "alphabets": [2],
-                             "probs": {"1\n": 0.5, "0\r\n": 0.5, "a": 0.0, "2": 0.0}}))
+                             "probs": {"1\n": 0.5, "0\r\n": 0.5, "0\x1c": 0.0, "a": 0.0,
+                                       "2": 0.0}}))
     with pytest.raises(ValueError, match=re.escape(f"{p}: assignment 'a' is not")):
         load_joint(p)
 

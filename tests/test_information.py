@@ -8,8 +8,8 @@ import pytest
 
 from ktspan import (
     KTree,
+    MutualInformationOracle,
     UndirectedGraph,
-    build_mi_oracle,
     build_tree_decomposition,
     chow_liu,
     entropy,
@@ -246,23 +246,25 @@ def test_precursor_invariance():
 def test_mi_oracle_forbidden_on_non_cliques():
     rng = np.random.default_rng(18)
     p = random_joint_table((2, 2, 2, 2), rng)
-    full = build_mi_oracle(p, UndirectedGraph.complete(4), 2)
+    full = MutualInformationOracle(p, UndirectedGraph.complete(4))
     assert full.score(0, (1, 2)) is not None
     assert full.root_score((1, 2, 3)) is not None
     holed = UndirectedGraph(4, [e for e in
                                 UndirectedGraph.complete(4).edges
                                 if e != (0, 1)])
-    oracle = build_mi_oracle(p, holed, 2)
+    oracle = MutualInformationOracle(p, holed)
     assert oracle.score(0, (1, 2)) is None
     assert oracle.score(3, (1, 2)) is not None
     assert oracle.root_score((0, 1, 2)) is None
     assert oracle.root_score((1, 2, 3)) is not None
+    with pytest.raises(ValueError, match="must cover variables 0..4"):
+        MutualInformationOracle(p, UndirectedGraph.complete(5))
 
 
 def test_mi_oracle_values_and_asymmetry():
     rng = np.random.default_rng(5)
     p = random_joint_table((2, 2, 2, 2), rng)
-    oracle = build_mi_oracle(p, UndirectedGraph.complete(4), 2)
+    oracle = MutualInformationOracle(p, UndirectedGraph.complete(4))
     a = oracle.score(0, (1, 2))
     assert a == pytest.approx(mutual_information(p, 0, (1, 2)), abs=1e-12)
     assert oracle.root_score((0, 1, 2)) == pytest.approx(
@@ -290,7 +292,7 @@ def test_mi_oracle_computes_each_subset_entropy_once(monkeypatch):
     samples = SampleMatrix(rng.integers(0, 3, size=(400, 7)))
     g = UndirectedGraph.complete(7)
     calls = count_entropy_calls(monkeypatch)
-    materialize_scores(build_mi_oracle(samples, g, 2), g, 2)
+    materialize_scores(MutualInformationOracle(samples, g), g, 2)
     # every single, pair and triple of the 35 triangles, once each
     assert len(calls) == 7 + 21 + 35
     assert sorted(calls) == sorted(
@@ -312,7 +314,7 @@ def test_mi_oracle_matches_the_public_functions_exactly():
     sources = [random_joint_table((3, 2, 4, 3, 2), rng),
                SampleMatrix(rng.integers(0, 4, size=(300, 5)))]
     for src in sources:
-        oracle = build_mi_oracle(src, UndirectedGraph.complete(5), 2)
+        oracle = MutualInformationOracle(src, UndirectedGraph.complete(5))
         for c in itertools.combinations(range(5), 3):
             for w in c:
                 base = tuple(x for x in c if x != w)
@@ -352,7 +354,7 @@ def test_materialize_scores_reproduces_oracle():
     p = random_joint_table((2, 2, 2, 2, 2), rng)
     g = UndirectedGraph(5, [e for e in UndirectedGraph.complete(5).edges
                             if e != (0, 4)])
-    lazy = build_mi_oracle(p, g, 2)
+    lazy = MutualInformationOracle(p, g)
     frozen = materialize_scores(lazy, g, 2)
     for c in itertools.combinations(range(5), 3):
         assert frozen.root_score(c) == lazy.root_score(c)

@@ -30,7 +30,6 @@ PUBLIC_NAMES = [
     "best_rooted_score",
     "brute_max_score",
     "brute_min_kl",
-    "build_mi_oracle",
     "build_tree_decomposition",
     "chow_liu",
     "component_count_bound",

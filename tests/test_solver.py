@@ -12,7 +12,6 @@ from ktspan import (
     KTree,
     NotRetainingError,
     UndirectedGraph,
-    build_mi_oracle,
     build_tree_decomposition,
     chow_liu,
     path_backbone,
