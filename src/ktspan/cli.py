@@ -63,7 +63,7 @@ def cmd_solve(args) -> int:
     if h is None:
         raise ValueError(f'{args.graph} is missing the "backbone" key')
     if args.scores is not None:
-        oracle = fileio.load_scores(args.scores)
+        oracle = fileio.load_scores(args.scores, g.n)
         if oracle.k != args.k:
             raise ValueError(f"score file is for k={oracle.k}, requested k={args.k}")
     else:
@@ -107,7 +107,7 @@ def cmd_oracle(args) -> int:
     if args.scores is not None:
         if h is None:
             raise ValueError(f'{args.graph} is missing the "backbone" key')
-        oracle = fileio.load_scores(args.scores)
+        oracle = fileio.load_scores(args.scores, g.n)
         if oracle.k != args.k:
             raise ValueError(f"score file is for k={oracle.k}, requested k={args.k}")
         best, score = brute_max_score(ktrees, h, oracle)

@@ -194,16 +194,20 @@ def _pivot_line(key):
     return f"{w},{base}" if bar and "," not in w else "|"
 
 
-def load_scores(path) -> ExplicitScoreOracle:
-    """Read explicit score tables; absent entries mean forbidden."""
+def load_scores(path, n) -> ExplicitScoreOracle:
+    """Read explicit score tables for a graph on n vertices; absent
+    entries mean forbidden, and a key naming a vertex outside 0..n-1 is
+    an error."""
     obj = _load_json(path)
     k = _integer(_require(obj, "k", path), "k", path)
+    bounds = (n,) * (k + 1)
     root = {tuple(c): float(s) for c, s in _int_key_items(
-        path, _number_map(obj.get("root", {}), "root", path), k + 1)}
+        path, _number_map(obj.get("root", {}), "root", path), k + 1,
+        bounds=bounds)}
     pivots = _number_map(obj.get("pivot", {}), "pivot", path)
     pivot = {(w, tuple(base)): float(s) for (w, *base), s in _int_key_items(
         path, pivots, k + 1, grammar='is not "pivot|base" integers',
-        lines=list(map(_pivot_line, pivots)))}
+        lines=list(map(_pivot_line, pivots)), bounds=bounds)}
     return ExplicitScoreOracle(k, root, pivot)
 
 

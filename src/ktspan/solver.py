@@ -1,21 +1,22 @@
 """Dynamic program for backbone-retaining maximum spanning k-trees.
 
-A state pairs a candidate clique with the region still to be covered
-below it: a union of the clique's backbone components. One child branch
-may absorb several components at once: the k-tree under construction is
-free to bridge backbone components with its own edges, so the branch
-hanging off a clique covers some union of them. The table therefore
-keys on (clique, region mask); a companion table holds the best single
-branch per (clique, cover mask), so a table state only splits its
-region's components into covers: at most 2^(c-1) of them, where c is
-component_count_bound. A branch state tries each allowed drop with
-each pivot that is both in its region and adjacent to the whole
-remaining base, at most (k+1) * (max host degree) pairs, each one memo
-probe of the child state (base plus pivot, region minus pivot); the
-child splits its region into components once, when first filled.
+A table state pairs a candidate clique with the region still to be
+covered below it: a union of the clique's backbone components. One
+branch may absorb several components at once: the k-tree under
+construction is free to bridge backbone components with its own edges,
+so the branch hanging off a clique covers some union of them. A table
+state splits its region's components into covers, at most 2^(c-1) of
+them where c is component_count_bound, and attaches each cover by one
+branch. A branch drops a vertex x of the clique that has no backbone
+edge into its cover and adds a pivot w from the cover; the pivot's
+score and the child state (base plus w, cover minus w) depend only on
+the base B = clique - x, not on the clique. So a base state keyed on
+(B, cover) scans the pivots once, each one in the cover and adjacent to
+the whole base, and every clique B + x reaching it reads its best pivot.
+The child splits its region into components once, when first filled.
 Neither walks the vertices or the backbone, so on hosts of bounded
 degree a state costs the same at any n. Bitmask cliques and
-integer-packed keys keep both tables cheap; traceback replays winning
+integer-packed keys keep the tables cheap; traceback replays winning
 choices into a creation order.
 """
 
@@ -58,16 +59,16 @@ class SolveResult:
 class _DPSolver:
     """One solve run; holds the memo tables and the traceback choices.
 
-    A state pairs a clique mask with a region, a union of the clique's
-    backbone components written as a vertex mask: _table and _tchoice
-    key on (clique << n) | region, _branch and _bchoice on
-    (clique << n) | cover for the part of a region one branch covers.
-    _solve_frame and _branch_frame are generators that run as frames on
-    one explicit work stack (_fill): each probes the memo before asking
-    for a child state, so a memo hit costs one dict lookup, and a miss
-    yields the child's frame, which the stack runs to completion before
-    resuming the parent. Depth is bounded by memory, not by the
-    interpreter's recursion limit.
+    Regions and covers are unions of a clique's backbone components
+    written as vertex masks. _table and _tchoice key table states on
+    (clique << n) | region; _tchoice holds the winning (cover, pivot,
+    drop). _based keys base states on (base << n) | cover and holds
+    (best, pivot). _solve_frame and _base_frame are generators that run
+    as frames on one explicit work stack (_fill): each probes the memo
+    before asking for a child state, so a memo hit costs one dict
+    lookup, and a miss yields the child's frame, which the stack runs to
+    completion before resuming the parent. Depth is bounded by memory,
+    not by the interpreter's recursion limit.
     """
 
     def __init__(self, g: UndirectedGraph, h: BackboneTree, k: int,
@@ -87,12 +88,9 @@ class _DPSolver:
         # per part count; region masks are too many to keep
         self._bits = {}
         self._cover_cache = {}
-        # common host neighbourhood of each base mask met so far
-        self._commons = {}
         self._table = {}
         self._tchoice = {}
-        self._branch = {}
-        self._bchoice = {}
+        self._based = {}
         self._scores = {}
 
     def _components(self, cmask):
@@ -124,14 +122,6 @@ class _DPSolver:
                 for rest in combinations(range(1, count), size)))
         return covers
 
-    def _common_neighbours(self, basemask):
-        """Host vertices adjacent to every vertex of basemask."""
-        common = -1
-        for b in iter_bits(basemask):
-            common &= self.gadj[b]
-        self._commons[basemask] = common
-        return common
-
     def _score(self, basemask, w):
         key = (basemask << self._pshift) | w
         val = self._scores.get(key, _MISSING)
@@ -160,27 +150,42 @@ class _DPSolver:
 
     def _solve_frame(self, cmask, region):
         """Fill _table for (cmask, region): the best split of the
-        region's components into branches."""
+        region's components into branches, each one base state."""
         table = self._table
-        branch = self._branch
-        base = cmask << self.n
+        based = self._based
+        hadj = self.hadj
+        n = self.n
+        members = self._bits_of(cmask)
+        key = cmask << n
         parts = region_components(self._components(cmask), region)
         best = None
-        bestcover = None
+        choice = None
         for idxs in self._covers(len(parts)):
             cover = 0
             for i in idxs:
                 cover |= parts[i]
-            bkey = base | cover
-            got = branch.get(bkey, _MISSING)
-            if got is _MISSING:
-                yield self._branch_frame(cmask, cover)
-                got = branch[bkey]
+            # a dropped vertex never rejoins a clique below this point,
+            # so any backbone edge from it into the cover could never be
+            # built; ties go to the smaller pivot, then the smaller drop
+            got = None
+            for x in members:
+                if hadj[x] & cover:
+                    continue
+                basemask = cmask ^ (1 << x)
+                bkey = (basemask << n) | cover
+                hit = based.get(bkey)
+                if hit is None:
+                    yield self._base_frame(basemask, cover)
+                    hit = based[bkey]
+                val, w = hit
+                if val is not None and (got is None or val > got
+                                        or (val == got and w < pivot)):
+                    got, pivot, drop = val, w, x
             if got is None:
                 continue
             rest = region ^ cover
             if rest:
-                rkey = base | rest
+                rkey = key | rest
                 sub = table.get(rkey, _MISSING)
                 if sub is _MISSING:
                     yield self._solve_frame(cmask, rest)
@@ -192,76 +197,55 @@ class _DPSolver:
             total = got + sub
             if best is None or total > best:
                 best = total
-                bestcover = cover
-        key = base | region
-        table[key] = best
-        if bestcover is not None:
-            self._tchoice[key] = bestcover
+                choice = (cover, pivot, drop)
+        table[key | region] = best
+        if choice is not None:
+            self._tchoice[key | region] = choice
 
-    def _branch_frame(self, cmask, region):
-        """Fill _branch for (cmask, region): the best single branch below
-        cmask covering exactly region."""
-        hadj = self.hadj
-        commons = self._commons
-        # a dropped vertex never rejoins a clique below this point, so
-        # any backbone edge from it into the region could never be built;
-        # the pivot must see the whole base, so a drop's candidates are
-        # the region vertices in its base's common host neighbourhood
-        drops = []
-        pivots = 0
-        for x in self._bits_of(cmask):
-            if hadj[x] & region:
-                continue
-            basemask = cmask ^ (1 << x)
-            common = commons.get(basemask)
-            if common is None:
-                common = self._common_neighbours(basemask)
-            cands = region & common
-            if cands:
-                drops.append((x, basemask, cands))
-                pivots |= cands
+    def _base_frame(self, basemask, region):
+        """Fill _based for (basemask, region): the best pivot w, in the
+        region and adjacent to the whole base, with the child state
+        (base plus w, region minus w) below it; ties go to the smaller
+        w."""
+        gadj = self.gadj
+        common = -1
+        for b in iter_bits(basemask):
+            common &= gadj[b]
         table = self._table
         scores = self._scores
         n = self.n
-        pshift = self._pshift
+        skey = basemask << self._pshift
         best = None
-        bestchoice = None
+        bestw = None
         # pivots in ascending order, peeled off inline: a generator per
-        # state would cost one resume per bit; the child state is the
-        # base plus the pivot, left to cover the rest of the region
-        pending = pivots
+        # state would cost one resume per bit
+        pending = region & common
         while pending:
             wbit = pending & -pending
             pending ^= wbit
             w = wbit.bit_length() - 1
+            fs = scores.get(skey | w, _MISSING)
+            if fs is _MISSING:
+                fs = self._score(basemask, w)
+            if fs is None:
+                continue
             rem = region ^ wbit
-            for x, basemask, cands in drops:
-                if not cands & wbit:
+            if rem:
+                childmask = basemask | wbit
+                ckey = (childmask << n) | rem
+                sub = table.get(ckey, _MISSING)
+                if sub is _MISSING:
+                    yield self._solve_frame(childmask, rem)
+                    sub = table[ckey]
+                if sub is None:
                     continue
-                fs = scores.get((basemask << pshift) | w, _MISSING)
-                if fs is _MISSING:
-                    fs = self._score(basemask, w)
-                if fs is None:
-                    continue
-                if rem:
-                    childmask = basemask | wbit
-                    ckey = (childmask << n) | rem
-                    sub = table.get(ckey, _MISSING)
-                    if sub is _MISSING:
-                        yield self._solve_frame(childmask, rem)
-                        sub = table[ckey]
-                    if sub is None:
-                        continue
-                else:
-                    sub = 0
-                total = fs + sub
-                if best is None or total > best:
-                    best = total
-                    bestchoice = (w, x)
-        key = (cmask << n) | region
-        self._branch[key] = best
-        if bestchoice is not None:
-            self._bchoice[key] = bestchoice
+            else:
+                sub = 0
+            total = fs + sub
+            if best is None or total > best:
+                best = total
+                bestw = w
+        self._based[(basemask << n) | region] = (best, bestw)
 
     def solve(self) -> SolveResult:
         n, k = self.n, self.k
@@ -325,8 +309,7 @@ class _DPSolver:
             cmask, region = stack.pop()
             if not region:
                 continue
-            cover = self._tchoice[(cmask << n) | region]
-            w, x = self._bchoice[(cmask << n) | cover]
+            cover, w, x = self._tchoice[(cmask << n) | region]
             basemask = cmask ^ (1 << x)
             order.append((w, tuple(iter_bits(basemask))))
             stack.append((cmask, region ^ cover))

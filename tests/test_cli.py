@@ -60,7 +60,7 @@ def test_fit_two_variable_pivot_is_pairwise_mi(tmp_path, capsys):
     assert main(["fit", "--samples", str(tmp_path / "s.csv"),
                  "--graph", str(tmp_path / "g.json"),
                  "--k", "1", "--out", str(tmp_path / "scores.json")]) == 0
-    oracle = load_scores(tmp_path / "scores.json")
+    oracle = load_scores(tmp_path / "scores.json", 2)
     mi = mutual_information(s, 1, (0,))
     assert oracle.score(1, (0,)) == pytest.approx(mi, abs=1e-12)
     assert oracle.root_score((0, 1)) == pytest.approx(mi, abs=1e-12)
@@ -74,7 +74,7 @@ def test_fit_independent_columns_near_zero(tmp_path):
     assert main(["fit", "--samples", str(tmp_path / "s.csv"),
                  "--graph", str(tmp_path / "g.json"),
                  "--k", "1", "--out", str(tmp_path / "scores.json")]) == 0
-    oracle = load_scores(tmp_path / "scores.json")
+    oracle = load_scores(tmp_path / "scores.json", 3)
     for u in range(3):
         for v in range(3):
             if u != v:
@@ -311,6 +311,21 @@ def test_non_integer_score_key_names_file_and_key(tmp_path, capsys,
                  "--scores", str(tmp_path / "s.json"), "--k", "1",
                  "--out", str(tmp_path / "r.json")]) == 1
     assert capsys.readouterr().err == f"error: {tmp_path}/{bad}: key {key!r} {message}\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+@pytest.mark.parametrize("section, key", [
+    ("root", "0,99"), ("root", "-1,0"), ("pivot", "7|-3")])
+def test_score_key_outside_the_graph_is_a_data_error(tmp_path, capsys,
+                                                      command, section, key):
+    scores = dict(GOOD_SCORES, **{section: {key: 1.0}})
+    (tmp_path / "g.json").write_text(json.dumps(GOOD_GRAPH))
+    (tmp_path / "s.json").write_text(json.dumps(scores))
+    assert main([command, "--graph", str(tmp_path / "g.json"),
+                 "--scores", str(tmp_path / "s.json"), "--k", "1",
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path}/s.json: key {key!r} is out of range\n")
 
 
 def test_non_integer_joint_key_names_file_and_key(tmp_path, capsys):

@@ -93,16 +93,16 @@ def test_scores_round_trip(tmp_path):
     g = UndirectedGraph.complete(5)
     oracle = random_explicit_scores(g, 2, np.random.default_rng(81))
     save_scores(p, oracle)
-    back = load_scores(p)
+    back = load_scores(p, 5)
     assert back.k == 2
     assert back.root_score((0, 1, 2)) == oracle.root_score((0, 1, 2))
     assert back.score(4, (1, 2)) == oracle.score(4, (1, 2))
     # sections are optional: absent entries are forbidden, not errors
     p.write_text(json.dumps({"k": 2, "root": {}}))
-    assert load_scores(p).score(0, (1, 2)) is None
+    assert load_scores(p, 5).score(0, (1, 2)) is None
     p.write_text(json.dumps({"root": {}}))
     with pytest.raises(ValueError, match='"k"'):
-        load_scores(p)
+        load_scores(p, 5)
 
 
 def test_samples_round_trip_and_errors(tmp_path):

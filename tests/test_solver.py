@@ -34,6 +34,7 @@ from ktspan.generate import (
     random_retaining_ktree,
     sample_markov_ktree,
 )
+from ktspan.graphs import iter_cliques
 from ktspan.information import (
     ExplicitScoreOracle,
     JointTable,
@@ -153,8 +154,9 @@ def test_memoization_does_not_change_the_answer():
         g, h, oracle = seeded_instance(400 + seed, 6, 2)
         ref = solve_retaining_mskt(g, h, 2, oracle)
         s = solver_mod._DPSolver(g, h, 2, oracle)
+        assert {"_table", "_based"} <= set(vars(s))
         s._table = NoMemo()
-        s._branch = NoMemo()
+        s._based = NoMemo()
         res = s.solve()
         assert res.score == pytest.approx(ref.score, abs=1e-9)
         assert res.ktree.edges == ref.ktree.edges
@@ -178,15 +180,30 @@ def sparse_ktree_plus_chords_instance():
 
 
 @pytest.mark.parametrize("instance, sizes", [
-    (dense_path_instance, (4114, 5490, 2091)),
-    (sparse_ktree_plus_chords_instance, (1671, 2727, 305)),
+    (dense_path_instance, (4114, 459, 2091)),
+    (sparse_ktree_plus_chords_instance, (1671, 1154, 305)),
 ], ids=["dense", "sparse"])
 def test_dp_state_counts_are_pinned(instance, sizes):
-    # one table state per (clique, region), one branch state per
-    # (clique, cover) and one oracle call per (base, pivot) reached
+    # one table state per (clique, region), one base state per
+    # (base, cover) and one oracle call per (base, pivot) reached
     s = solver_mod._DPSolver(*instance())
     s.solve()
-    assert (len(s._table), len(s._branch), len(s._scores)) == sizes
+    assert (len(s._table), len(s._based), len(s._scores)) == sizes
+
+
+def test_all_ties_pick_smallest_pivot_then_smallest_drop():
+    # every root and pivot scores the same, so each choice comes from
+    # the tie-break alone: smallest cover, then pivot, then drop
+    g = UndirectedGraph.complete(10)
+    h = random_backbone(10, 3, np.random.default_rng(5))
+    cliques = list(iter_cliques(g.adj, 3))
+    oracle = ExplicitScoreOracle(
+        2, {c: 1.0 for c in cliques},
+        {(w, tuple(x for x in c if x != w)): 1.0 for c in cliques for w in c})
+    res = solve_retaining_mskt(g, h, 2, oracle)
+    assert res.ktree.creation_order == (
+        (0, ()), (1, (0,)), (2, (0, 1)), (3, (1, 2)), (9, (2, 3)),
+        (4, (0, 2)), (5, (2, 4)), (8, (4, 5)), (7, (2, 4)), (6, (1, 2)))
 
 
 def test_pivots_above_127_keep_distinct_memo_keys():
