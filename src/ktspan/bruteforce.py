@@ -2,9 +2,9 @@
 rescoring, KL minimization, and clique search.
 
 The search here is deliberately independent of the dynamic program in
-solver.py; only the shared graph types and the objective evaluator
-score_ktree are reused. Hard size guards keep the exponential routines
-at desk scale.
+solver.py; only the shared graph types, the objective evaluator
+score_ktree and the all-roots walk that scores a fixed k-tree are
+reused. Hard size guards keep the exponential routines at desk scale.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .graphs import (
     validate_backbone,
 )
 from .information import JointTable, kl_divergence, markov_ktree_distribution
-from .solver import score_ktree
+from .solver import _best_root, score_ktree
 
 ENUM_MAX_N = 9
 ENUM_MAX_K = 3
@@ -121,27 +121,20 @@ def best_rooted_score(t: KTree, h: BackboneTree, oracle):
     which vertex acts as pivot for each clique, so an edge set alone
     does not determine a score. Any (k+1)-clique of t can serve as the
     root of a rewritten creation order, and the score is a function of
-    (edge set, root) only, so trying every clique as root via reroot
-    covers every achievable score. Returns (score, witness KTree) for
-    the best construction, or (None, None) when every one is forbidden.
+    (edge set, root) only, so one walk over t's clique tree scores every
+    root; ties go to the smallest root clique. Returns (score, witness
+    KTree) for the best construction, the witness rerooted there by
+    reroot and its score recomputed along that order, or (None, None)
+    when every one is forbidden.
     """
     require_retaining(t, h)
     if t.n == t.k:
         raise ValueError("k-tree equals its seed clique, nothing to score")
-    best = None
-    winner = None
-    for root in sorted(tuple(sorted(base + (v,)))
-                       for v, base in t.creation_order[t.k:]):
-        rooted = reroot(t, root)
-        val = score_ktree(rooted, h, oracle)
-        if val is None:
-            continue
-        if best is None or val > best:
-            best = val
-            winner = rooted
-    if best is None:
+    root = _best_root(t, oracle)
+    if root is None:
         return None, None
-    return best, winner
+    winner = reroot(t, root)
+    return score_ktree(winner, h, oracle), winner
 
 
 def brute_max_score(ktrees, h: BackboneTree, oracle):

@@ -102,14 +102,17 @@ def cmd_kl(args) -> int:
 
 def cmd_oracle(args) -> int:
     g, h = fileio.load_graph(args.graph)
-    ktrees = enumerate_retaining_ktrees(g, h, args.k)
-    print(f"instances {len(ktrees)}")
+    oracle = None
     if args.scores is not None:
+        # a bad score file fails before the enumeration prints anything
         if h is None:
             raise ValueError(f'{args.graph} is missing the "backbone" key')
         oracle = fileio.load_scores(args.scores, g.n)
         if oracle.k != args.k:
             raise ValueError(f"score file is for k={oracle.k}, requested k={args.k}")
+    ktrees = enumerate_retaining_ktrees(g, h, args.k)
+    print(f"instances {len(ktrees)}")
+    if oracle is not None:
         best, score = brute_max_score(ktrees, h, oracle)
         print(f"score {score}")
         if args.out is not None:

@@ -17,7 +17,9 @@ The child splits its region into components once, when first filled.
 Neither walks the vertices or the backbone, so on hosts of bounded
 degree a state costs the same at any n. Bitmask cliques and
 integer-packed keys keep the tables cheap; traceback replays winning
-choices into a creation order.
+choices into a creation order. k = 1 skips the DP: the backbone is the
+only retaining spanning 1-tree, and one walk over its clique tree
+scores every root.
 """
 
 from __future__ import annotations
@@ -273,13 +275,8 @@ class _DPSolver:
                 best_members = members
                 best_rs = rs
         if best is None:
-            raise InfeasibleError(self._diagnose())
-        order = self._emit(best_members)
-        try:
-            ktree = KTree.from_creation_order(n, k, order)
-        except ValueError as exc:
-            raise RuntimeError(f"solver output rejected: {exc}") from exc
-        require_retaining(ktree, self.h)
+            raise InfeasibleError(_diagnose(self.gadj, self.h, k))
+        ktree = _output_ktree(n, k, self._emit(best_members), self.h)
         if oracle.root_invariant:
             # the winner may come from any swept root; report it rooted
             # at its smallest clique so the result does not depend on
@@ -316,18 +313,142 @@ class _DPSolver:
             stack.append((basemask | (1 << w), cover ^ (1 << w)))
         return order
 
-    def _diagnose(self):
-        # one pass over the (k+1)-cliques marks every host pair they cover
-        covered = [0] * self.n
-        for members in iter_cliques(self.gadj, self.k + 1):
-            cmask = mask_of(members)
-            for v in members:
-                covered[v] |= cmask
-        for u, v in sorted(self.h.edges):
-            if not covered[u] >> v & 1:
-                return (f"infeasible: backbone edge ({u}, {v}) lies in no "
-                        f"{self.k + 1}-clique of the host graph")
-        return "infeasible: no spanning k-tree of the host graph retains the backbone"
+
+def _diagnose(gadj, h: BackboneTree, k: int) -> str:
+    # one pass over the (k+1)-cliques marks every host pair they cover
+    covered = [0] * len(gadj)
+    for members in iter_cliques(gadj, k + 1):
+        cmask = mask_of(members)
+        for v in members:
+            covered[v] |= cmask
+    for u, v in sorted(h.edges):
+        if not covered[u] >> v & 1:
+            return (f"infeasible: backbone edge ({u}, {v}) lies in no "
+                    f"{k + 1}-clique of the host graph")
+    return "infeasible: no spanning k-tree of the host graph retains the backbone"
+
+
+def _output_ktree(n, k, order, h: BackboneTree) -> KTree:
+    try:
+        ktree = KTree.from_creation_order(n, k, order)
+    except ValueError as exc:
+        raise RuntimeError(f"solver output rejected: {exc}") from exc
+    require_retaining(ktree, h)
+    return ktree
+
+
+def _best_root(t: KTree, oracle: ScoreOracle):
+    """Root clique of t's best creation order, or None when every one is
+    forbidden; ties go to the smallest clique.
+
+    One walk over t's clique tree. A clique's parent is the clique in
+    which the latest-created member of its base was created, and the two
+    share that base S. Moving the root from a parent P = S + p to its
+    child C = S + c takes out root_score(P) and score(c | S) and puts in
+    root_score(C) and score(p | S); every other clique keeps its term.
+    So each clique's sum is its parent's plus two oracle calls, kept
+    relative to the first root, with a count of forbidden terms beside
+    it.
+    """
+    k = t.k
+    score = oracle.score
+    root = t.root_clique
+    cliques = [root]
+    # index of the clique each vertex was created in; the seed vertices
+    # share the root
+    made = dict.fromkeys(root, 0)
+    # per clique, its pivot-term sum and forbidden-term count minus the
+    # first root's; first_forbidden is the first root's count
+    shift = [0]
+    forbidden = [0]
+    first_forbidden = 0
+    for v, base in t.creation_order[k + 1:]:
+        parent = max(made[b] for b in base)
+        p = next(x for x in cliques[parent] if x not in base)
+        down = score(v, base)
+        up = score(p, base)
+        s = shift[parent]
+        f = forbidden[parent]
+        if down is None:
+            first_forbidden += 1
+            f -= 1
+        else:
+            s -= down
+        if up is None:
+            f += 1
+        else:
+            s += up
+        made[v] = len(cliques)
+        cliques.append(tuple(sorted(base + (v,))))
+        shift.append(s)
+        forbidden.append(f)
+    best = None
+    winner = None
+    for clique, s, f in zip(cliques, shift, forbidden):
+        if f + first_forbidden:
+            continue
+        rs = oracle.root_score(clique)
+        if rs is None:
+            continue
+        total = rs + s
+        if best is None or total > best or (total == best and clique < winner):
+            best = total
+            winner = clique
+    return winner
+
+
+def _backbone_order(h: BackboneTree, root) -> list:
+    """Creation order of the backbone rooted at the edge root, the order
+    the DP's traceback gives it: depth first from the root edge, the
+    pending subtrees of each vertex (of both root vertices, for the
+    root edge) taken by their smallest vertex."""
+    a, b = root
+    adj = h.adj
+    parent = {a: b, b: a}
+    bfs = [a, b]
+    seen = (1 << a) | (1 << b)
+    for v in bfs:
+        kids = adj[v] & ~seen
+        seen |= kids
+        for c in iter_bits(kids):
+            parent[c] = v
+            bfs.append(c)
+    # smallest vertex of each subtree, folded up in reverse breadth-first
+    # order; disjoint subtrees never share it, so it orders siblings
+    low = list(range(h.n))
+    children = [[] for _ in range(h.n)]
+    for v in reversed(bfs[2:]):
+        p = parent[v]
+        children[p].append(v)
+        if low[v] < low[p]:
+            low[p] = low[v]
+    order = [(a, ()), (b, (a,))]
+    stack = sorted(children[a] + children[b], key=low.__getitem__, reverse=True)
+    while stack:
+        v = stack.pop()
+        order.append((v, (parent[v],)))
+        stack.extend(sorted(children[v], key=low.__getitem__, reverse=True))
+    return order
+
+
+def _solve_backbone(g: UndirectedGraph, h: BackboneTree,
+                    oracle: ScoreOracle) -> SolveResult:
+    """k = 1: a retaining spanning 1-tree has n - 1 edges, so it is the
+    backbone itself, and only its root is left to choose."""
+    root = min(h.edges)
+    ktree = _output_ktree(g.n, 1, _backbone_order(h, root), h)
+    if not oracle.root_invariant:
+        best = _best_root(ktree, oracle)
+        if best is None:
+            raise InfeasibleError(_diagnose(g.adj, h, 1))
+        if best != root:
+            root = best
+            ktree = _output_ktree(g.n, 1, _backbone_order(h, root), h)
+    rs = oracle.root_score(root)
+    score = _tree_score(ktree, rs, oracle.score)
+    if score is None:
+        raise InfeasibleError(_diagnose(g.adj, h, 1))
+    return SolveResult(ktree, score, rs)
 
 
 def solve_retaining_mskt(g: UndirectedGraph, h: BackboneTree, k: int,
@@ -341,14 +462,22 @@ def solve_retaining_mskt(g: UndirectedGraph, h: BackboneTree, k: int,
     oracle (ScoreOracle.root_invariant) only the roots holding the
     smallest backbone edge are swept, and the result is rooted at the
     k-tree's smallest (k+1)-clique and scored along that creation
-    order. Raises InfeasibleError when no retaining k-tree has a
-    defined score.
+    order. At k = 1 the only retaining spanning 1-tree is the backbone,
+    so no DP runs: one walk over the backbone's edges scores every root
+    in O(n) oracle calls at any backbone degree, the best root wins
+    (the smallest edge on ties, the smallest backbone edge under a
+    root-invariant oracle), and the backbone is emitted in the DP's
+    order, depth first with each vertex's subtrees taken by their
+    smallest vertex. Raises InfeasibleError when no retaining k-tree has
+    a defined score.
     """
     err = validate_backbone(g, h)
     if err is not None:
         raise ValueError(f"invalid backbone: {err}")
     if not 1 <= k < g.n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={g.n}")
+    if k == 1:
+        return _solve_backbone(g, h, oracle)
     return _DPSolver(g, h, k, oracle).solve()
 
 

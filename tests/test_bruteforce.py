@@ -9,7 +9,6 @@ from ktspan import (
     InfeasibleError,
     InstanceTooLargeError,
     UndirectedGraph,
-    build_tree_decomposition,
     path_backbone,
     require_retaining,
     reroot,
@@ -33,6 +32,7 @@ from ktspan.generate import (
     random_joint_table,
     random_retaining_ktree,
 )
+from ktspan.graphs import iter_cliques
 from ktspan.information import ExplicitScoreOracle, JointTable
 
 
@@ -115,18 +115,52 @@ def test_brute_max_score_all_forbidden():
         brute_max_score(ktrees, h, ExplicitScoreOracle(2, {}, {}))
 
 
+def reroot_scan(t, h, oracle):
+    """best_rooted_score's reference: rescore t rerooted at every
+    clique, smallest root first, keeping the first maximum."""
+    best = None
+    winner = None
+    for root in sorted(tuple(sorted(base + (v,)))
+                       for v, base in t.creation_order[t.k:]):
+        rooted = reroot(t, root)
+        val = score_ktree(rooted, h, oracle)
+        if val is not None and (best is None or val > best):
+            best = val
+            winner = rooted
+    return best, winner
+
+
+def tie_heavy_scores(g, k, rng, forbidden):
+    """Integer tables from 0..3 over g's (k+1)-cliques, each entry
+    forbidden with the given probability."""
+    roots = {}
+    pivots = {}
+    for c in iter_cliques(g.adj, k + 1):
+        if rng.random() >= forbidden:
+            roots[c] = float(rng.integers(0, 4))
+        for w in c:
+            if rng.random() >= forbidden:
+                pivots[(w, tuple(x for x in c if x != w))] = float(rng.integers(0, 4))
+    return ExplicitScoreOracle(k, roots, pivots)
+
+
 def test_best_rooted_score_matches_direct_reroot_scan():
     rng = np.random.default_rng(53)
-    h = random_backbone(6, 2, rng)
-    g = UndirectedGraph.complete(6)
-    oracle = random_explicit_scores(g, 2, rng)
-    t = random_retaining_ktree(h, 2, rng)
-    got, witness = best_rooted_score(t, h, oracle)
-    vals = []
-    for node in build_tree_decomposition(t).nodes:
-        vals.append(score_ktree(reroot(t, node), h, oracle))
-    assert got == max(v for v in vals if v is not None)
-    assert score_ktree(witness, h, oracle) == got
+    for k in (1, 2, 3):
+        for n in (k + 1, k + 2, 7, 15, 30, 60):
+            for forbidden in (0.0, 0.02, 0.2):
+                h = random_backbone(n, 3, rng)
+                t = random_retaining_ktree(h, k, rng)
+                oracle = tie_heavy_scores(UndirectedGraph(n, t.edges), k, rng,
+                                          forbidden)
+                got, witness = best_rooted_score(t, h, oracle)
+                want, ref = reroot_scan(t, h, oracle)
+                assert got == want
+                if ref is None:
+                    assert witness is None
+                else:
+                    assert witness.creation_order == ref.creation_order
+                    assert score_ktree(witness, h, oracle) == got
 
 
 def test_best_rooted_score_all_forbidden():

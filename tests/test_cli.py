@@ -328,6 +328,40 @@ def test_score_key_outside_the_graph_is_a_data_error(tmp_path, capsys,
         f"error: {tmp_path}/s.json: key {key!r} is out of range\n")
 
 
+@pytest.mark.parametrize("scores, message", [
+    (dict(GOOD_SCORES, root={"0,99": 1.0}), "{}/s.json: key '0,99' is out of range"),
+    ({"k": 2, "root": {"0,1,2": 1.0}, "pivot": {"2|0,1": 1.0}},
+     "score file is for k=2, requested k=1")], ids=["out-of-range", "k-mismatch"])
+def test_oracle_checks_the_score_file_before_enumerating(tmp_path, capsys,
+                                                          scores, message):
+    # nothing reaches stdout, not even the instance count
+    (tmp_path / "g.json").write_text(json.dumps(GOOD_GRAPH))
+    (tmp_path / "s.json").write_text(json.dumps(scores))
+    assert main(["oracle", "--graph", str(tmp_path / "g.json"),
+                 "--scores", str(tmp_path / "s.json"), "--k", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(tmp_path)}\n"
+
+
+def test_star_backbone_k1_solves_at_any_degree(tmp_path, capsys):
+    # the host is the star itself and every score is 1, so every root
+    # ties at n - 1; the DP grew about tenfold per two vertices here
+    n = 2000
+    edges = [[0, v] for v in range(1, n)]
+    graph = {"n": n, "edges": edges, "backbone": edges}
+    scores = {"k": 1, "root": {f"0,{v}": 1.0 for v in range(1, n)},
+              "pivot": {**{f"{v}|0": 1.0 for v in range(1, n)},
+                        **{f"0|{v}": 1.0 for v in range(1, n)}}}
+    (tmp_path / "g.json").write_text(json.dumps(graph))
+    (tmp_path / "s.json").write_text(json.dumps(scores))
+    assert main(["solve", "--graph", str(tmp_path / "g.json"),
+                 "--scores", str(tmp_path / "s.json"), "--k", "1",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"score {float(n - 1)}", "root 0,1", "root_score 1.0"]
+
+
 def test_non_integer_joint_key_names_file_and_key(tmp_path, capsys):
     (tmp_path / "j.json").write_text(json.dumps(dict(GOOD_JOINT, probs={"a,0,0": 1.0})))
     (tmp_path / "r.json").write_text(json.dumps(GOOD_RESULT))

@@ -220,29 +220,92 @@ def test_pivots_above_127_keep_distinct_memo_keys():
         pivots[(v, (u,))] = 0.0
     pivots[(1, (0,))] = 100.0
     pivots[(129, (0,))] = -100.0
-    res = solve_retaining_mskt(g, h, 1, ExplicitScoreOracle(1, roots, pivots))
-    assert res.score == 100.0
-    assert res.ktree.root_clique == (0, 129)
+    oracle = ExplicitScoreOracle(1, roots, pivots)
+    # k = 1 solves walk the backbone; the DP's memo keys need the DP
+    for res in (solve_retaining_mskt(g, h, 1, oracle),
+                solver_mod._DPSolver(g, h, 1, oracle).solve()):
+        assert res.score == 100.0
+        assert res.ktree.root_clique == (0, 129)
 
 
 @pytest.mark.parametrize("n", [130, 200, 300])
 def test_large_k1_solve_matches_the_rerooted_backbone(n):
-    # a retaining spanning 1-tree is the backbone itself, so the best
-    # rerooting of the backbone is an exact answer at any n; chords make
-    # every distance-2 edge a root the DP has to reject, and integer
-    # scores make both sums exact
+    # a retaining spanning 1-tree is the backbone itself, so a k = 1
+    # solve only picks the backbone's root; the DP, which k = 1 solves
+    # no longer run, stays exact there and must agree to the creation
+    # order. Chords make every distance-2 edge a root the DP has to
+    # reject, and integer scores make both sums exact
     h = path_backbone(n)
     g = UndirectedGraph(n, [(i, i + 1) for i in range(n - 1)]
                         + [(i, i + 2) for i in range(n - 2)])
     oracle = random_explicit_scores(g, 1, np.random.default_rng(n))
-    backbone = KTree.from_creation_order(
-        n, 1, [(0, ())] + [(v, (v - 1,)) for v in range(1, n)])
     res = solve_retaining_mskt(g, h, 1, oracle)
-    assert res.ktree.edges == backbone.edges
-    assert res.score == best_rooted_score(backbone, h, oracle)[0]
+    ref = solver_mod._DPSolver(g, h, 1, oracle).solve()
+    assert res.ktree.edges == frozenset(h.edges)
+    assert res.score == ref.score
+    assert res.root_score_component == ref.root_score_component
+    assert res.ktree.creation_order == ref.ktree.creation_order
 
 
-@pytest.mark.parametrize("n, k", [(60, 2), (60, 3), (130, 2), (200, 3), (400, 2)])
+def k1_differential_instance(seed):
+    """A random k = 1 instance: explicit integer tables from 0..4 with
+    about 5 % of entries forbidden, or, for every third seed, weight
+    products. The backbone is relabelled at random, so a subtree's
+    smallest vertex need not be its top."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 41))
+    tree = random_backbone(n, int(rng.integers(2, 6)), rng)
+    label = rng.permutation(n).tolist()
+    h = BackboneTree(n, [(label[u], label[v]) for u, v in tree.edges])
+    g = random_host_graph(h, float(rng.uniform(0.0, 0.5)), rng)
+    if seed % 3 == 2:
+        g = UndirectedGraph(n, g.edges, {e: float(rng.uniform(0.5, 1.5))
+                                         for e in g.edges})
+        return g, h, WeightProductOracle(g)
+    roots = {}
+    pivots = {}
+    for u, v in g.edges:
+        for key, table in (((u, v), roots), ((u, (v,)), pivots),
+                           ((v, (u,)), pivots)):
+            if rng.random() >= 0.05:
+                table[key] = float(rng.integers(0, 5))
+    return g, h, ExplicitScoreOracle(1, roots, pivots)
+
+
+def solve_or_message(solve):
+    try:
+        res = solve()
+    except InfeasibleError as exc:
+        return str(exc)
+    return res
+
+
+@pytest.mark.parametrize("chunk", range(3))
+def test_k1_walk_matches_the_dp(chunk):
+    # the k = 1 walk against the DP on 300 seeded instances (n 3-40):
+    # explicit tables agree to the creation order and the infeasibility
+    # text; weight products agree on the tree and the root, and the
+    # score to a rounding, since which cover the DP keeps among equal
+    # covers is decided by float noise there
+    for seed in range(100 * chunk, 100 * chunk + 100):
+        g, h, oracle = k1_differential_instance(seed)
+        got = solve_or_message(lambda: solve_retaining_mskt(g, h, 1, oracle))
+        ref = solve_or_message(lambda: solver_mod._DPSolver(g, h, 1, oracle).solve())
+        if isinstance(ref, str):
+            assert got == ref
+            continue
+        assert got.ktree.edges == ref.ktree.edges
+        assert got.ktree.root_clique == ref.ktree.root_clique
+        assert got.root_score_component == ref.root_score_component
+        if oracle.root_invariant:
+            assert abs(got.score - ref.score) <= 1e-12
+        else:
+            assert got.score == ref.score
+            assert got.ktree.creation_order == ref.ktree.creation_order
+
+
+@pytest.mark.parametrize("n, k", [(60, 2), (60, 3), (130, 2), (200, 3), (400, 2),
+                                  (1000, 2), (1000, 3)])
 def test_ktree_host_solve_returns_the_host(n, k):
     # a host that is itself a k-tree T retaining the backbone has T as
     # its only spanning k-tree, since every spanning k-tree on n
