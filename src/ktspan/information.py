@@ -8,6 +8,7 @@ divergences are in bits.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -23,30 +24,38 @@ class SampleMatrix:
 
     Alphabet sizes are inferred from the data when not given, with a
     floor of 2 so constant columns still get a two-symbol alphabet.
+    `data` is a read-only (m, n) int64 array stored column-major, so
+    each variable's symbols are contiguous. It is a private copy of the
+    input, except that a read-only column-major int64 array is kept as
+    it is: the marginal kernel trusts the range checks made here, so
+    no writable alias of `data` may outlive the constructor.
     """
 
     __slots__ = ("data", "alphabet_sizes")
 
     def __init__(self, data, alphabet_sizes=None):
-        arr = np.asarray(data, dtype=np.int64)
+        shared = isinstance(data, np.ndarray) and not data.flags.writeable
+        arr = np.array(data, dtype=np.int64, order="F",
+                       copy=None if shared else True)
         if arr.ndim != 2:
             raise ValueError("sample matrix must be 2-dimensional")
         if arr.shape[0] < 1:
             raise ValueError("need at least one sample row")
         if arr.size and arr.min() < 0:
             raise ValueError("negative symbol in sample matrix")
+        top = arr.max(axis=0)
         if alphabet_sizes is None:
-            alphabet_sizes = tuple(max(2, int(arr[:, j].max()) + 1)
-                                   for j in range(arr.shape[1]))
+            alphabet_sizes = tuple(max(2, int(t) + 1) for t in top)
         else:
             alphabet_sizes = tuple(int(a) for a in alphabet_sizes)
             if len(alphabet_sizes) != arr.shape[1]:
                 raise ValueError("one alphabet size per column required")
             if any(a < 2 for a in alphabet_sizes):
                 raise ValueError("alphabet sizes must be at least 2")
-            for j, a in enumerate(alphabet_sizes):
-                if int(arr[:, j].max()) >= a:
+            for j, (t, a) in enumerate(zip(top, alphabet_sizes)):
+                if t >= a:
                     raise ValueError(f"column {j} holds symbols >= alphabet {a}")
+        arr.flags.writeable = False
         self.data = arr
         self.alphabet_sizes = alphabet_sizes
 
@@ -90,6 +99,18 @@ class JointTable:
         return len(self.variables)
 
 
+def _cell_codes(columns, sizes):
+    """Row-major cell index of each row of the symbol columns: the codes
+    np.ravel_multi_index(columns, sizes) gives, without its bounds check,
+    so every symbol must already lie in 0..size-1. A code stays below
+    the product of the sizes."""
+    code = columns[0]
+    for column, size in zip(columns[1:], sizes[1:]):
+        code = code * size  # a new array: the input columns are never written
+        code += column
+    return code
+
+
 def _marginal_array(source, variables):
     """Joint marginal over the given variables, axes in the given order."""
     vs = tuple(variables)
@@ -112,9 +133,13 @@ def _marginal_array(source, variables):
             if not 0 <= v < source.n:
                 raise ValueError(f"variable {v} out of range")
         sizes = tuple(source.alphabet_sizes[v] for v in vs)
-        flat = np.ravel_multi_index([source.data[:, v] for v in vs], sizes)
-        counts = np.bincount(flat, minlength=int(np.prod(sizes)))
-        return (counts / source.m).reshape(sizes)
+        cells = math.prod(sizes)
+        if cells > MAX_TABLE_CELLS:
+            raise InstanceTooLargeError(
+                f"marginal over variables {vs} would need {cells} cells "
+                f"(limit {MAX_TABLE_CELLS})")
+        codes = _cell_codes([source.data[:, v] for v in vs], sizes)
+        return (np.bincount(codes, minlength=cells) / source.m).reshape(sizes)
     raise TypeError(f"unsupported source type {type(source).__name__}")
 
 
@@ -461,17 +486,18 @@ def sample_markov_ktree(t: KTree, tables, m: int, seed=None) -> SampleMatrix:
         raise ValueError("need at least one sample")
     sizes = _check_tables(t, tables)
     rng = np.random.default_rng(seed)
-    out = np.zeros((m, t.n), dtype=np.int64)
+    # column-major, so each vertex's column is one contiguous write
+    out = np.zeros((m, t.n), dtype=np.int64, order="F")
     for v, base in t.creation_order:
         ct = tables[v]
         a = ct.probs.shape[-1]
         flat = ct.probs.reshape(-1, a)
         if ct.parents:
             psizes = tuple(sizes[p] for p in ct.parents)
-            idx = np.ravel_multi_index([out[:, p] for p in ct.parents], psizes)
-            rows = flat[idx]
+            rows = flat[_cell_codes([out[:, p] for p in ct.parents], psizes)]
         else:
             rows = np.broadcast_to(flat[0], (m, a))
         u = rng.random((m, 1))
         out[:, v] = (rows.cumsum(axis=1) > u).argmax(axis=1)
+    out.flags.writeable = False  # read-only, so SampleMatrix keeps it uncopied
     return SampleMatrix(out, tuple(sizes[v] for v in range(t.n)))

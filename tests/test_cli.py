@@ -1,5 +1,6 @@
 """Command-line driver: formats, exit codes, round trips."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -282,6 +283,23 @@ def test_sample_cell_beyond_int64_is_a_data_error(tmp_path, capsys, command):
         f"error: {tmp_path}/s.csv: non-integer cell in sample rows\n")
 
 
+@pytest.mark.parametrize("command", [
+    ["fit", "--samples", "{dir}/s.csv", "--graph", "{dir}/g.json", "--k", "1",
+     "--out", "{dir}/scores.json"],
+    ["solve", "--graph", "{dir}/g.json", "--samples", "{dir}/s.csv", "--k", "1",
+     "--out", "{dir}/r.json"],
+])
+def test_oversized_sample_marginal_is_a_data_error(tmp_path, capsys, command):
+    # the pair (x0, x1) spans 1000001^2 cells; it is refused before any
+    # allocation instead of failing with a numpy memory error
+    (tmp_path / "g.json").write_text(json.dumps(GRAPH_2))
+    (tmp_path / "s.csv").write_text("x0,x1\n0,1\n1000000,1000000\n")
+    assert main([a.format(dir=tmp_path) for a in command]) == 1
+    assert capsys.readouterr().err == (
+        "error: marginal over variables (0, 1) would need 1000002000001 cells "
+        "(limit 1048576)\n")
+
+
 @pytest.mark.parametrize("section, key, message", [
     ("root", "a,1", "is not comma-separated integers"),
     ("root", "0,1_0", "is not comma-separated integers"),
@@ -476,6 +494,20 @@ def test_gen_deterministic_bytes(tmp_path):
                  "--samples", "500", "--seed", "12", "--out", str(b_dir)]) == 0
     for name in ("graph.json", "samples.csv", "truth.json"):
         assert (a / name).read_bytes() == (b_dir / name).read_bytes()
+
+
+def test_gen_and_fit_bytes_are_pinned(tmp_path):
+    # digests of what gen and fit wrote before the marginal kernel moved
+    # to column-major cell codes; the kernel must not change a bit
+    out = write_instance(tmp_path, 12, samples=500)
+    assert main(["fit", "--samples", str(out / "samples.csv"),
+                 "--graph", str(out / "graph.json"),
+                 "--k", "2", "--out", str(out / "scores.json")]) == 0
+    digest = lambda name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+    assert digest("samples.csv") == (
+        "5618c36d7c546d0f7e6d740f2531a1e171c09dc44bfa466522fcc7e20a45e2b5")
+    assert digest("scores.json") == (
+        "ae174cc89387d13b1a09fe21f2e570b28bd5841015fe7521fe4c4ec404327013")
 
 
 def test_gen_truth_retains_backbone(tmp_path):

@@ -62,6 +62,74 @@ def test_sample_matrix_validation():
         SampleMatrix([[0, 3]], alphabet_sizes=(2, 2))
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_sample_matrix_data_is_a_read_only_column_major_copy(order):
+    own = np.array([[0, 1], [1, 0], [0, 2]], dtype=np.int64, order=order)
+    s = SampleMatrix(own)
+    assert s.data.flags.f_contiguous
+    with pytest.raises(ValueError):
+        s.data[0, 0] = 1
+    # the caller's array stays writable, and writing to it leaves s alone
+    own[0, 0] = 5
+    assert s.data[0, 0] == 0 and s.alphabet_sizes == (2, 3)
+
+
+def test_sampler_output_is_read_only_and_column_major():
+    rng = np.random.default_rng(3)
+    t = random_ktree(5, 2, rng)
+    s = sample_markov_ktree(t, random_conditionals(t, (2, 3, 2, 4, 2), rng), 50, seed=1)
+    assert s.data.flags.f_contiguous and not s.data.flags.writeable
+    assert SampleMatrix(s.data).data is s.data
+
+
+def old_marginal(s, vs):
+    """The marginal kernel as np.ravel_multi_index computed it, on a
+    row-major copy of the samples."""
+    data = np.ascontiguousarray(s.data)
+    sizes = tuple(s.alphabet_sizes[v] for v in vs)
+    flat = np.ravel_multi_index([data[:, v] for v in vs], sizes)
+    return (np.bincount(flat, minlength=math.prod(sizes)) / s.m).reshape(sizes)
+
+
+def test_marginal_kernel_matches_ravel_multi_index():
+    # 320 seeded matrices: m 1..500, alphabets 2..7 with constant
+    # columns, 1-4 variables in unsorted order; counts and entropy bits
+    # must be exactly those of the ravel_multi_index kernel
+    rng = np.random.default_rng(2024)
+    for trial in range(320):
+        m = int(rng.integers(1, 501))
+        n = int(rng.integers(4, 8))
+        sizes = rng.integers(2, 8, size=n)
+        data = rng.integers(0, sizes, size=(m, n))
+        for j in rng.choice(n, size=int(rng.integers(0, 3)), replace=False):
+            data[:, j] = rng.integers(0, sizes[j])
+        s = SampleMatrix(data, sizes if trial % 2 else None)
+        for _ in range(3):
+            vs = tuple(int(v) for v in rng.choice(n, size=int(rng.integers(1, 5)),
+                                                  replace=False))
+            got = information._marginal_array(s, vs)
+            want = old_marginal(s, vs)
+            assert got.shape == want.shape and np.array_equal(got, want)
+            nz = want.ravel()[want.ravel() > 0]
+            assert entropy(s, vs) == float(-(nz * np.log2(nz)).sum())
+
+
+@pytest.mark.parametrize("row, vs, cells", [
+    ([1_000_000, 1_000_000, 0], (1, 0), 1_000_002_000_001),
+    ([1_000_000, 1_000_000, 1_000_000], (0, 1, 2), 1_000_003_000_003_000_001),
+    ([99, 99, 200], (2, 0, 1), 2_010_000),
+])
+def test_oversized_sample_marginal_is_refused(row, vs, cells):
+    s = SampleMatrix([row])
+    with pytest.raises(InstanceTooLargeError) as err:
+        information._marginal_array(s, vs)
+    assert str(err.value) == (
+        f"marginal over variables {vs} would need {cells} cells "
+        f"(limit {information.MAX_TABLE_CELLS})")
+    # a single variable fits under the cap
+    assert information._marginal_array(s, (0,)).shape == (row[0] + 1,)
+
+
 def test_joint_table_validation():
     with pytest.raises(ValueError):
         JointTable((0,), np.array([0.7, 0.7]))

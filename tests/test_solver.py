@@ -46,9 +46,20 @@ from ktspan.information import (
 from ktspan.solver import rescore_result
 
 
-def seeded_instance(seed, n, k, complete=True):
+def relabelled(h, rng):
+    """h under a seeded random permutation of its labels. random_backbone
+    hangs every vertex off a smaller label, so there a subtree's smallest
+    vertex is always its top; after relabelling it need not be."""
+    label = rng.permutation(h.n).tolist()
+    return BackboneTree(h.n, [(label[u], label[v]) for u, v in h.edges],
+                        h.degree_bound)
+
+
+def seeded_instance(seed, n, k, complete=True, relabel=False):
     rng = np.random.default_rng(seed)
     h = random_backbone(n, 3, rng)
+    if relabel:
+        h = relabelled(h, rng)
     if complete:
         g = UndirectedGraph.complete(n)
     else:
@@ -111,6 +122,15 @@ def test_random_sparse_hosts_match_brute(seed):
     n = 5 + seed % 3
     k = 1 + seed % 2
     g, h, oracle = seeded_instance(200 + seed, n, k, complete=False)
+    assert_matches_brute(g, h, k, oracle)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_relabelled_backbones_match_brute(seed):
+    n = 5 + seed % 3
+    k = 2 + seed % 2
+    g, h, oracle = seeded_instance(300 + seed, n, k, complete=seed % 4 < 2,
+                                   relabel=True)
     assert_matches_brute(g, h, k, oracle)
 
 
@@ -191,19 +211,34 @@ def test_dp_state_counts_are_pinned(instance, sizes):
     assert (len(s._table), len(s._based), len(s._scores)) == sizes
 
 
-def test_all_ties_pick_smallest_pivot_then_smallest_drop():
-    # every root and pivot scores the same, so each choice comes from
-    # the tie-break alone: smallest cover, then pivot, then drop
-    g = UndirectedGraph.complete(10)
-    h = random_backbone(10, 3, np.random.default_rng(5))
+def all_ties_order(h):
+    """Creation order of a k = 2 solve on the complete host where every
+    root and pivot scores the same, so each choice comes from the
+    tie-break alone: smallest cover, then pivot, then drop."""
+    g = UndirectedGraph.complete(h.n)
     cliques = list(iter_cliques(g.adj, 3))
     oracle = ExplicitScoreOracle(
         2, {c: 1.0 for c in cliques},
         {(w, tuple(x for x in c if x != w)): 1.0 for c in cliques for w in c})
-    res = solve_retaining_mskt(g, h, 2, oracle)
-    assert res.ktree.creation_order == (
+    return solve_retaining_mskt(g, h, 2, oracle).ktree.creation_order
+
+
+def test_all_ties_pick_smallest_pivot_then_smallest_drop():
+    h = random_backbone(10, 3, np.random.default_rng(5))
+    assert all_ties_order(h) == (
         (0, ()), (1, (0,)), (2, (0, 1)), (3, (1, 2)), (9, (2, 3)),
         (4, (0, 2)), (5, (2, 4)), (8, (4, 5)), (7, (2, 4)), (6, (1, 2)))
+
+
+@pytest.mark.parametrize("relabel_seed, order", [
+    (6, ((0, ()), (1, (0,)), (2, (0, 1)), (3, (1, 2)), (4, (2, 3)),
+         (6, (2, 3)), (9, (1, 3)), (5, (0, 2)), (7, (2, 5)), (8, (0, 2)))),
+    (7, ((0, ()), (1, (0,)), (3, (0, 1)), (7, (0, 1)), (2, (1, 7)),
+         (4, (1, 3)), (5, (1, 3)), (6, (3, 5)), (8, (0, 3)), (9, (1, 3)))),
+])
+def test_all_ties_on_relabelled_backbones(relabel_seed, order):
+    h = random_backbone(10, 3, np.random.default_rng(5))
+    assert all_ties_order(relabelled(h, np.random.default_rng(relabel_seed))) == order
 
 
 def test_pivots_above_127_keep_distinct_memo_keys():
@@ -250,13 +285,10 @@ def test_large_k1_solve_matches_the_rerooted_backbone(n):
 def k1_differential_instance(seed):
     """A random k = 1 instance: explicit integer tables from 0..4 with
     about 5 % of entries forbidden, or, for every third seed, weight
-    products. The backbone is relabelled at random, so a subtree's
-    smallest vertex need not be its top."""
+    products, on a relabelled backbone."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 41))
-    tree = random_backbone(n, int(rng.integers(2, 6)), rng)
-    label = rng.permutation(n).tolist()
-    h = BackboneTree(n, [(label[u], label[v]) for u, v in tree.edges])
+    h = relabelled(random_backbone(n, int(rng.integers(2, 6)), rng), rng)
     g = random_host_graph(h, float(rng.uniform(0.0, 0.5)), rng)
     if seed % 3 == 2:
         g = UndirectedGraph(n, g.edges, {e: float(rng.uniform(0.5, 1.5))
