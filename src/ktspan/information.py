@@ -251,7 +251,7 @@ class MutualInformationOracle(ScoreOracle):
     """
 
     def __init__(self, source, g: UndirectedGraph):
-        _source_sizes(source, g.n)  # refuses a source that misses a vertex
+        _check_source(source, g.n)
         self.source = source
         self.g = g
         self._entropies = _Entropies(source)
@@ -357,19 +357,18 @@ def materialize_scores(oracle: ScoreOracle, g: UndirectedGraph,
     return ExplicitScoreOracle(k, root, pivot)
 
 
-def _source_sizes(source, n):
+def _check_source(source, n=None):
+    """Refuse a source that is neither samples nor a joint table, or
+    that does not cover variables 0..n-1 (n defaults to its own count)."""
+    if not isinstance(source, (SampleMatrix, JointTable)):
+        raise TypeError(f"unsupported source type {type(source).__name__}")
+    if n is None:
+        n = source.n
     if isinstance(source, SampleMatrix):
         if source.n != n:
             raise ValueError(f"source covers {source.n} variables, need {n}")
-        return tuple(source.alphabet_sizes)
-    if isinstance(source, JointTable):
-        if set(source.variables) != set(range(n)):
-            raise ValueError(f"source must cover variables 0..{n - 1}")
-        shape = [0] * n
-        for v, a in zip(source.variables, source.table.shape):
-            shape[v] = a
-        return tuple(shape)
-    raise TypeError(f"unsupported source type {type(source).__name__}")
+    elif set(source.variables) != set(range(n)):
+        raise ValueError(f"source must cover variables 0..{n - 1}")
 
 
 def markov_ktree_distribution(t: KTree, source) -> JointTable:
@@ -382,7 +381,7 @@ def markov_ktree_distribution(t: KTree, source) -> JointTable:
     marginal, which keeps each conditional row normalized and the
     result an exact distribution.
     """
-    _source_sizes(source, t.n)  # refuses a source that misses a vertex
+    _check_source(source, t.n)
     tables = {}
     for v, base in t.creation_order:
         # a sorted-axis marginal viewed with v last, so the context sums

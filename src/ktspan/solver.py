@@ -19,7 +19,9 @@ degree a state costs the same at any n. Bitmask cliques and
 integer-packed keys keep the tables cheap; traceback replays winning
 choices into a creation order. k = 1 skips the DP: the backbone is the
 only retaining spanning 1-tree, and one walk over its clique tree
-scores every root.
+scores every root. Either search hands back a creation order, and one
+function turns it into the result: it reports infeasibility, applies
+the root-invariant reroot and rescores along the final order.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .graphs import (
     reroot,
     validate_backbone,
 )
-from .information import JointTable, SampleMatrix, ScoreOracle, _Entropies
+from .information import ScoreOracle, _Entropies, _check_source
 from .separation import component_count_bound, components_masks, region_components
 
 _MISSING = object()
@@ -59,18 +61,18 @@ class SolveResult:
 
 
 class _DPSolver:
-    """One solve run; holds the memo tables and the traceback choices.
+    """One DP search; holds the memo tables and the traceback choices.
 
     Regions and covers are unions of a clique's backbone components
     written as vertex masks. _table and _tchoice key table states on
     (clique << n) | region; _tchoice holds the winning (cover, pivot,
     drop). _based keys base states on (base << n) | cover and holds
     (best, pivot). _solve_frame and _base_frame are generators that run
-    as frames on one explicit work stack (_fill): each probes the memo
-    before asking for a child state, so a memo hit costs one dict
-    lookup, and a miss yields the child's frame, which the stack runs to
-    completion before resuming the parent. Depth is bounded by memory,
-    not by the interpreter's recursion limit.
+    as frames on one explicit work stack per root, driven by sweep: each
+    probes the memo before asking for a child state, so a memo hit costs
+    one dict lookup, and a miss yields the child's frame, which the
+    stack runs to completion before resuming the parent. Depth is
+    bounded by memory, not by the interpreter's recursion limit.
     """
 
     def __init__(self, g: UndirectedGraph, h: BackboneTree, k: int,
@@ -85,31 +87,26 @@ class _DPSolver:
         # score-memo keys pack (base mask, pivot) with the pivot in the
         # low bits, which must hold every vertex id
         self._pshift = self.n.bit_length()
-        self._comp_cache = {}
-        # iter_bits tuples of clique masks, and the cover index tuples
-        # per part count; region masks are too many to keep
-        self._bits = {}
+        # per clique mask its members and backbone components, and the
+        # cover index tuples per part count; region masks are too many
+        # to keep
+        self._cliques = {}
         self._cover_cache = {}
         self._table = {}
         self._tchoice = {}
         self._based = {}
         self._scores = {}
 
-    def _components(self, cmask):
-        comps = self._comp_cache.get(cmask)
-        if comps is None:
+    def _clique(self, cmask):
+        """Members (iter_bits tuple) and backbone components of a clique."""
+        hit = self._cliques.get(cmask)
+        if hit is None:
             comps = components_masks(self.h, cmask)
             if len(comps) > self._bound:
                 raise InconsistentPartitionError(
                     f"{len(comps)} backbone components exceed bound {self._bound}")
-            self._comp_cache[cmask] = comps
-        return comps
-
-    def _bits_of(self, mask):
-        bits = self._bits.get(mask)
-        if bits is None:
-            bits = self._bits[mask] = tuple(iter_bits(mask))
-        return bits
+            hit = self._cliques[cmask] = (tuple(iter_bits(cmask)), comps)
+        return hit
 
     def _covers(self, count):
         """Index tuples of the covers holding part 0 of a region split
@@ -124,32 +121,6 @@ class _DPSolver:
                 for rest in combinations(range(1, count), size)))
         return covers
 
-    def _score(self, basemask, w):
-        key = (basemask << self._pshift) | w
-        val = self._scores.get(key, _MISSING)
-        if val is _MISSING:
-            val = self.oracle.score(w, tuple(iter_bits(basemask)))
-            self._scores[key] = val
-        return val
-
-    def _fill(self, cmask, region):
-        """Best score covering region below cmask, with every state it
-        depends on memoized."""
-        if not region:
-            return 0
-        key = (cmask << self.n) | region
-        hit = self._table.get(key, _MISSING)
-        if hit is not _MISSING:
-            return hit
-        stack = [self._solve_frame(cmask, region)]
-        while stack:
-            child = next(stack[-1], None)
-            if child is None:
-                stack.pop()
-            else:
-                stack.append(child)
-        return self._table[key]
-
     def _solve_frame(self, cmask, region):
         """Fill _table for (cmask, region): the best split of the
         region's components into branches, each one base state."""
@@ -157,9 +128,9 @@ class _DPSolver:
         based = self._based
         hadj = self.hadj
         n = self.n
-        members = self._bits_of(cmask)
+        members, comps = self._clique(cmask)
         key = cmask << n
-        parts = region_components(self._components(cmask), region)
+        parts = region_components(comps, region)
         best = None
         choice = None
         for idxs in self._covers(len(parts)):
@@ -210,9 +181,11 @@ class _DPSolver:
         (base plus w, region minus w) below it; ties go to the smaller
         w."""
         gadj = self.gadj
+        base = tuple(iter_bits(basemask))
         common = -1
-        for b in iter_bits(basemask):
+        for b in base:
             common &= gadj[b]
+        score = self.oracle.score
         table = self._table
         scores = self._scores
         n = self.n
@@ -228,7 +201,7 @@ class _DPSolver:
             w = wbit.bit_length() - 1
             fs = scores.get(skey | w, _MISSING)
             if fs is _MISSING:
-                fs = self._score(basemask, w)
+                fs = scores[skey | w] = score(w, base)
             if fs is None:
                 continue
             rem = region ^ wbit
@@ -249,7 +222,9 @@ class _DPSolver:
                 bestw = w
         self._based[(basemask << n) | region] = (best, bestw)
 
-    def solve(self) -> SolveResult:
+    def sweep(self):
+        """Creation order of the best retaining k-tree, or None when no
+        root has a defined score."""
         n, k = self.n, self.k
         oracle = self.oracle
         roots = iter_cliques(self.gadj, k + 1)
@@ -260,39 +235,31 @@ class _DPSolver:
             roots = (c for c in roots if u in c and v in c)
         best = None
         best_members = None
-        best_rs = None
         for members in roots:
             rs = oracle.root_score(members)
             if rs is None:
                 continue
+            total = rs
             rmask = mask_of(members)
-            sub = self._fill(rmask, ((1 << n) - 1) ^ rmask)
-            if sub is None:
-                continue
-            total = rs + sub
+            region = ((1 << n) - 1) ^ rmask
+            if region:
+                # a root's region holds every vertex outside it, so no
+                # frame below ever asks for this state: run it unprobed
+                stack = [self._solve_frame(rmask, region)]
+                while stack:
+                    child = next(stack[-1], None)
+                    if child is None:
+                        stack.pop()
+                    else:
+                        stack.append(child)
+                sub = self._table[(rmask << n) | region]
+                if sub is None:
+                    continue
+                total += sub
             if best is None or total > best:
                 best = total
                 best_members = members
-                best_rs = rs
-        if best is None:
-            raise InfeasibleError(_diagnose(self.gadj, self.h, k))
-        ktree = _output_ktree(n, k, self._emit(best_members), self.h)
-        if oracle.root_invariant:
-            # the winner may come from any swept root; report it rooted
-            # at its smallest clique so the result does not depend on
-            # which root the sweep kept
-            root = min(tuple(sorted(base + (w,)))
-                       for w, base in ktree.creation_order[k:])
-            if root != ktree.root_clique:
-                ktree = reroot(ktree, root)
-                best_rs = oracle.root_score(root)
-        # recompute the score along the creation order so rescoring the
-        # output reproduces it bit for bit
-        score = _tree_score(ktree, best_rs,
-                            lambda w, base: self._score(mask_of(base), w))
-        if score is None:
-            raise RuntimeError("forbidden score on the winning path")
-        return SolveResult(ktree, score, best_rs)
+        return None if best is None else self._emit(best_members)
 
     def _emit(self, members):
         n, k = self.n, self.k
@@ -326,15 +293,6 @@ def _diagnose(gadj, h: BackboneTree, k: int) -> str:
             return (f"infeasible: backbone edge ({u}, {v}) lies in no "
                     f"{k + 1}-clique of the host graph")
     return "infeasible: no spanning k-tree of the host graph retains the backbone"
-
-
-def _output_ktree(n, k, order, h: BackboneTree) -> KTree:
-    try:
-        ktree = KTree.from_creation_order(n, k, order)
-    except ValueError as exc:
-        raise RuntimeError(f"solver output rejected: {exc}") from exc
-    require_retaining(ktree, h)
-    return ktree
 
 
 def _best_root(t: KTree, oracle: ScoreOracle):
@@ -431,26 +389,6 @@ def _backbone_order(h: BackboneTree, root) -> list:
     return order
 
 
-def _solve_backbone(g: UndirectedGraph, h: BackboneTree,
-                    oracle: ScoreOracle) -> SolveResult:
-    """k = 1: a retaining spanning 1-tree has n - 1 edges, so it is the
-    backbone itself, and only its root is left to choose."""
-    root = min(h.edges)
-    ktree = _output_ktree(g.n, 1, _backbone_order(h, root), h)
-    if not oracle.root_invariant:
-        best = _best_root(ktree, oracle)
-        if best is None:
-            raise InfeasibleError(_diagnose(g.adj, h, 1))
-        if best != root:
-            root = best
-            ktree = _output_ktree(g.n, 1, _backbone_order(h, root), h)
-    rs = oracle.root_score(root)
-    score = _tree_score(ktree, rs, oracle.score)
-    if score is None:
-        raise InfeasibleError(_diagnose(g.adj, h, 1))
-    return SolveResult(ktree, score, rs)
-
-
 def solve_retaining_mskt(g: UndirectedGraph, h: BackboneTree, k: int,
                          oracle: ScoreOracle) -> SolveResult:
     """Maximum-score spanning k-tree of g containing every edge of h.
@@ -476,32 +414,58 @@ def solve_retaining_mskt(g: UndirectedGraph, h: BackboneTree, k: int,
         raise ValueError(f"invalid backbone: {err}")
     if not 1 <= k < g.n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={g.n}")
-    if k == 1:
-        return _solve_backbone(g, h, oracle)
-    return _DPSolver(g, h, k, oracle).solve()
+    if k > 1:
+        return _result(g, h, k, oracle, _DPSolver(g, h, k, oracle).sweep())
+    # a retaining spanning 1-tree has n - 1 edges, so it is the backbone
+    # itself, and only its root is left to choose
+    root = min(h.edges)
+    if not oracle.root_invariant:
+        root = _best_root(
+            KTree.from_creation_order(g.n, 1, _backbone_order(h, root)), oracle)
+    return _result(g, h, 1, oracle,
+                   None if root is None else _backbone_order(h, root))
 
 
-def _tree_score(t: KTree, root_score, score):
-    """root_score plus score(pivot, base) for every creation-order entry
-    after the root clique, or None once any of them is forbidden."""
-    if root_score is None:
-        return None
-    total = root_score
-    for w, base in t.creation_order[t.k + 1:]:
-        fs = score(w, base)
-        if fs is None:
-            return None
-        total += fs
-    return total
+def _result(g: UndirectedGraph, h: BackboneTree, k: int, oracle: ScoreOracle,
+            order) -> SolveResult:
+    """The solve result for the creation order a search picked, None when
+    it found no root with a defined score. Under a root-invariant oracle
+    the k-tree is rerooted at its smallest clique, so the result does not
+    depend on which of its roots the search kept; either way it is
+    scored along its final creation order, so rescoring the output
+    reproduces the score bit for bit."""
+    if order is not None:
+        try:
+            ktree = KTree.from_creation_order(g.n, k, order)
+        except ValueError as exc:
+            raise RuntimeError(f"solver output rejected: {exc}") from exc
+        if oracle.root_invariant:
+            root = min(tuple(sorted(base + (w,)))
+                       for w, base in ktree.creation_order[k:])
+            if root != ktree.root_clique:
+                ktree = reroot(ktree, root)
+        rs, score = _rescore(ktree, h, oracle)
+        if score is not None:
+            return SolveResult(ktree, score, rs)
+    raise InfeasibleError(_diagnose(g.adj, h, k))
 
 
 def _rescore(t: KTree, h: BackboneTree, oracle: ScoreOracle):
-    """Root score and total score of a retaining k-tree."""
+    """Root score and total score of a retaining k-tree: the root score
+    plus score(pivot, base) for every creation-order entry after the
+    root clique. The total is None once any term is forbidden."""
     if t.n == t.k:
         raise ValueError("k-tree equals its seed clique, nothing to score")
     require_retaining(t, h)
-    rs = oracle.root_score(t.root_clique)
-    return rs, _tree_score(t, rs, oracle.score)
+    rs = total = oracle.root_score(t.root_clique)
+    if rs is None:
+        return None, None
+    for w, base in t.creation_order[t.k + 1:]:
+        fs = oracle.score(w, base)
+        if fs is None:
+            return rs, None
+        total += fs
+    return rs, total
 
 
 def score_ktree(t: KTree, h: BackboneTree, oracle: ScoreOracle):
@@ -531,14 +495,8 @@ def chow_liu(source) -> KTree:
     breadth-first walk from vertex 0. The pairs share one entropy memo,
     so each variable and each pair is estimated once.
     """
-    if isinstance(source, SampleMatrix):
-        n = source.n
-    elif isinstance(source, JointTable):
-        n = source.n
-        if set(source.variables) != set(range(n)):
-            raise ValueError(f"source must cover variables 0..{n - 1}")
-    else:
-        raise TypeError(f"unsupported source type {type(source).__name__}")
+    _check_source(source)
+    n = source.n
     if n < 2:
         raise ValueError("need at least 2 variables")
     entropies = _Entropies(source)

@@ -68,6 +68,13 @@ def seeded_instance(seed, n, k, complete=True, relabel=False):
     return g, h, oracle
 
 
+def dp_solve(g, h, k, oracle, dp=None):
+    """The DP's search, at any k, through the solver's one result tail."""
+    if dp is None:
+        dp = solver_mod._DPSolver(g, h, k, oracle)
+    return solver_mod._result(g, h, k, oracle, dp.sweep())
+
+
 def assert_matches_brute(g, h, k, oracle):
     ktrees = enumerate_retaining_ktrees(g, h, k)
     try:
@@ -177,7 +184,7 @@ def test_memoization_does_not_change_the_answer():
         assert {"_table", "_based"} <= set(vars(s))
         s._table = NoMemo()
         s._based = NoMemo()
-        res = s.solve()
+        res = dp_solve(g, h, 2, oracle, s)
         assert res.score == pytest.approx(ref.score, abs=1e-9)
         assert res.ktree.edges == ref.ktree.edges
 
@@ -200,15 +207,17 @@ def sparse_ktree_plus_chords_instance():
 
 
 @pytest.mark.parametrize("instance, sizes", [
-    (dense_path_instance, (4114, 459, 2091)),
-    (sparse_ktree_plus_chords_instance, (1671, 1154, 305)),
+    (dense_path_instance, (4114, 459, 2091, 1138)),
+    (sparse_ktree_plus_chords_instance, (1671, 1154, 305, 183)),
 ], ids=["dense", "sparse"])
 def test_dp_state_counts_are_pinned(instance, sizes):
     # one table state per (clique, region), one base state per
-    # (base, cover) and one oracle call per (base, pivot) reached
+    # (base, cover), one oracle call per (base, pivot) reached and one
+    # components_masks call per distinct clique
     s = solver_mod._DPSolver(*instance())
-    s.solve()
-    assert (len(s._table), len(s._based), len(s._scores)) == sizes
+    s.sweep()
+    assert (len(s._table), len(s._based), len(s._scores),
+            len(s._cliques)) == sizes
 
 
 def all_ties_order(h):
@@ -257,8 +266,7 @@ def test_pivots_above_127_keep_distinct_memo_keys():
     pivots[(129, (0,))] = -100.0
     oracle = ExplicitScoreOracle(1, roots, pivots)
     # k = 1 solves walk the backbone; the DP's memo keys need the DP
-    for res in (solve_retaining_mskt(g, h, 1, oracle),
-                solver_mod._DPSolver(g, h, 1, oracle).solve()):
+    for res in (solve_retaining_mskt(g, h, 1, oracle), dp_solve(g, h, 1, oracle)):
         assert res.score == 100.0
         assert res.ktree.root_clique == (0, 129)
 
@@ -275,7 +283,7 @@ def test_large_k1_solve_matches_the_rerooted_backbone(n):
                         + [(i, i + 2) for i in range(n - 2)])
     oracle = random_explicit_scores(g, 1, np.random.default_rng(n))
     res = solve_retaining_mskt(g, h, 1, oracle)
-    ref = solver_mod._DPSolver(g, h, 1, oracle).solve()
+    ref = dp_solve(g, h, 1, oracle)
     assert res.ktree.edges == frozenset(h.edges)
     assert res.score == ref.score
     assert res.root_score_component == ref.root_score_component
@@ -322,7 +330,7 @@ def test_k1_walk_matches_the_dp(chunk):
     for seed in range(100 * chunk, 100 * chunk + 100):
         g, h, oracle = k1_differential_instance(seed)
         got = solve_or_message(lambda: solve_retaining_mskt(g, h, 1, oracle))
-        ref = solve_or_message(lambda: solver_mod._DPSolver(g, h, 1, oracle).solve())
+        ref = solve_or_message(lambda: dp_solve(g, h, 1, oracle))
         if isinstance(ref, str):
             assert got == ref
             continue
@@ -486,14 +494,21 @@ def test_score_ktree_rejects_bad_input():
         score_ktree(seed_only, path_backbone(2), oracle)
 
 
-def test_rescore_result_round_trip():
-    g, h, oracle = seeded_instance(42, 6, 2)
-    res = solve_retaining_mskt(g, h, 2, oracle)
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("weights", [False, True], ids=["explicit", "weights"])
+def test_rescore_result_round_trip(k, weights):
+    # every path through the result tail scores along the creation order
+    # it returns, so rescoring the output reproduces it bit for bit
+    if weights:
+        g, h = weight_product_instance(0, 9)
+        oracle = WeightProductOracle(g)
+    else:
+        g, h, oracle = seeded_instance(42, 6, k)
+    res = solve_retaining_mskt(g, h, k, oracle)
     re = rescore_result(res.ktree, h, oracle)
-    assert re.score == pytest.approx(res.score, abs=1e-12)
     assert re.ktree.edges == res.ktree.edges
-    assert re.root_score_component == pytest.approx(
-        res.root_score_component, abs=1e-12)
+    assert re.score == res.score
+    assert re.root_score_component == res.root_score_component
 
 
 def test_solver_input_validation():
@@ -577,3 +592,10 @@ def test_chow_liu_outputs_valid_ktrees():
         t = chow_liu(p)
         assert t.k == 1 and t.n == n
         assert validate_ktree(t) is None
+
+
+def test_chow_liu_refuses_a_bad_source():
+    with pytest.raises(ValueError, match=r"must cover variables 0\.\.1"):
+        chow_liu(JointTable((0, 2), np.full((2, 2), 0.25)))
+    with pytest.raises(TypeError, match="unsupported source type list"):
+        chow_liu([[0, 1], [1, 0]])
