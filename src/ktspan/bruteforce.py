@@ -130,7 +130,7 @@ def best_rooted_score(t: KTree, h: BackboneTree, oracle):
     require_retaining(t, h)
     if t.n == t.k:
         raise ValueError("k-tree equals its seed clique, nothing to score")
-    root = _best_root(t, oracle)
+    root = _best_root(t.k, t.creation_order, oracle)
     if root is None:
         return None, None
     winner = reroot(t, root)

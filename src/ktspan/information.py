@@ -3,6 +3,13 @@
 Distributions live in dense numpy arrays over small finite alphabets;
 empirical tables come from integer sample matrices. All entropies and
 divergences are in bits.
+
+A sample marginal is counted one of two ways, with the same exact
+integer counts. When its cells times ceil(m/64) is at most the row
+count m, each cell is the popcount of its symbols' row bitsets ANDed
+together, about one word operation per 64 rows and cell. Otherwise
+every row gets its cell code and np.bincount counts them, the only way
+that fits in memory for large cell counts.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ class SampleMatrix:
     no writable alias of `data` may outlive the constructor.
     """
 
-    __slots__ = ("data", "alphabet_sizes")
+    __slots__ = ("data", "alphabet_sizes", "_bits")
 
     def __init__(self, data, alphabet_sizes=None):
         shared = isinstance(data, np.ndarray) and not data.flags.writeable
@@ -58,6 +65,7 @@ class SampleMatrix:
         arr.flags.writeable = False
         self.data = arr
         self.alphabet_sizes = alphabet_sizes
+        self._bits = [None] * arr.shape[1]
 
     @property
     def m(self) -> int:
@@ -66,6 +74,21 @@ class SampleMatrix:
     @property
     def n(self) -> int:
         return self.data.shape[1]
+
+    def _symbol_bits(self, v):
+        """Row bitsets of variable v, built on first use: an (alphabet,
+        ceil(m/64)) uint64 array whose row s has bit r set when sample
+        row r holds symbol s. Padding bits past row m - 1 are clear."""
+        bits = self._bits[v]
+        if bits is None:
+            column = self.data[:, v]
+            nbytes = -(-self.m // 8)
+            packed = np.zeros((self.alphabet_sizes[v], 8 * -(-self.m // 64)),
+                              dtype=np.uint8)
+            for s, row in enumerate(packed):
+                row[:nbytes] = np.packbits(column == s, bitorder="little")
+            bits = self._bits[v] = packed.view(np.uint64)
+        return bits
 
 
 class JointTable:
@@ -138,8 +161,18 @@ def _marginal_array(source, variables):
             raise InstanceTooLargeError(
                 f"marginal over variables {vs} would need {cells} cells "
                 f"(limit {MAX_TABLE_CELLS})")
-        codes = _cell_codes([source.data[:, v] for v in vs], sizes)
-        return (np.bincount(codes, minlength=cells) / source.m).reshape(sizes)
+        if cells * -(-source.m // 64) <= source.m:
+            # fewer words to AND and count than rows to code: cell
+            # (s0, s1, ...) is the popcount of its symbols' bitsets ANDed,
+            # broadcast so the cells come out in row-major order
+            bits = source._symbol_bits(vs[0])
+            for v in vs[1:]:
+                bits = bits[..., None, :] & source._symbol_bits(v)
+            counts = np.bitwise_count(bits).sum(axis=-1, dtype=np.int64)
+        else:
+            codes = _cell_codes([source.data[:, v] for v in vs], sizes)
+            counts = np.bincount(codes, minlength=cells).reshape(sizes)
+        return counts / source.m
     raise TypeError(f"unsupported source type {type(source).__name__}")
 
 

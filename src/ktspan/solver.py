@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import InconsistentPartitionError, InfeasibleError
+from .errors import InconsistentPartitionError, InfeasibleError, InstanceTooLargeError
 from .graphs import (
     BackboneTree,
     KTree,
@@ -45,6 +45,15 @@ from .information import ScoreOracle, _Entropies, _check_source
 from .separation import component_count_bound, components_masks, region_components
 
 _MISSING = object()
+
+# most backbone components a clique may split off (component_count_bound
+# of the backbone's maximum degree); a table state splits its region up
+# to 2^(c-1) ways. Measured on spider backbones (one vertex of degree d,
+# the rest a path) with complete hosts: at k = 2 (bound 3d - 2), n = 32,
+# degree 7 takes 5x the degree-3 time, degree 8 14x and each further
+# degree 2.5-3x more; at k = 3 (bound 4d - 3), n = 24, degree 6 takes 3x
+# and degree 7 8x
+_MAX_COMPONENTS = 21
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,6 +93,11 @@ class _DPSolver:
         self.gadj = g.adj
         self.hadj = h.adj
         self._bound = component_count_bound(max(h.max_degree(), 1), k)
+        if self._bound > _MAX_COMPONENTS:
+            raise InstanceTooLargeError(
+                f"backbone degree {h.max_degree()} lets a {k + 1}-clique split "
+                f"it into up to {self._bound} components (limit "
+                f"{_MAX_COMPONENTS})")
         # score-memo keys pack (base mask, pivot) with the pivot in the
         # low bits, which must hold every vertex id
         self._pshift = self.n.bit_length()
@@ -295,22 +309,24 @@ def _diagnose(gadj, h: BackboneTree, k: int) -> str:
     return "infeasible: no spanning k-tree of the host graph retains the backbone"
 
 
-def _best_root(t: KTree, oracle: ScoreOracle):
-    """Root clique of t's best creation order, or None when every one is
-    forbidden; ties go to the smallest clique.
+def _best_root(k: int, creation_order, oracle: ScoreOracle):
+    """Root clique of the best creation order of the k-tree that
+    creation_order builds, or None when every one is forbidden; ties go
+    to the smallest clique. The order is trusted to be valid: callers
+    pass a KTree's order or one that is validated after the walk.
 
-    One walk over t's clique tree. A clique's parent is the clique in
-    which the latest-created member of its base was created, and the two
-    share that base S. Moving the root from a parent P = S + p to its
+    One walk over the k-tree's clique tree. A clique's parent is the
+    clique in which the latest-created member of its base was created,
+    and the two share that base S. Moving the root from a parent P = S + p to its
     child C = S + c takes out root_score(P) and score(c | S) and puts in
     root_score(C) and score(p | S); every other clique keeps its term.
     So each clique's sum is its parent's plus two oracle calls, kept
     relative to the first root, with a count of forbidden terms beside
     it.
     """
-    k = t.k
     score = oracle.score
-    root = t.root_clique
+    v, base = creation_order[k]
+    root = tuple(sorted(base + (v,)))
     cliques = [root]
     # index of the clique each vertex was created in; the seed vertices
     # share the root
@@ -320,7 +336,7 @@ def _best_root(t: KTree, oracle: ScoreOracle):
     shift = [0]
     forbidden = [0]
     first_forbidden = 0
-    for v, base in t.creation_order[k + 1:]:
+    for v, base in creation_order[k + 1:]:
         parent = max(made[b] for b in base)
         p = next(x for x in cliques[parent] if x not in base)
         down = score(v, base)
@@ -407,7 +423,9 @@ def solve_retaining_mskt(g: UndirectedGraph, h: BackboneTree, k: int,
     root-invariant oracle), and the backbone is emitted in the DP's
     order, depth first with each vertex's subtrees taken by their
     smallest vertex. Raises InfeasibleError when no retaining k-tree has
-    a defined score.
+    a defined score, and at k >= 2 InstanceTooLargeError when the
+    backbone's maximum degree lets a clique split it into more than 21
+    components, before any search.
     """
     err = validate_backbone(g, h)
     if err is not None:
@@ -420,8 +438,7 @@ def solve_retaining_mskt(g: UndirectedGraph, h: BackboneTree, k: int,
     # itself, and only its root is left to choose
     root = min(h.edges)
     if not oracle.root_invariant:
-        root = _best_root(
-            KTree.from_creation_order(g.n, 1, _backbone_order(h, root)), oracle)
+        root = _best_root(1, _backbone_order(h, root), oracle)
     return _result(g, h, 1, oracle,
                    None if root is None else _backbone_order(h, root))
 

@@ -380,6 +380,35 @@ def test_star_backbone_k1_solves_at_any_degree(tmp_path, capsys):
         f"score {float(n - 1)}", "root 0,1", "root_score 1.0"]
 
 
+@pytest.mark.parametrize("n, code", [(6, 0), (8, 0), (9, 1), (2000, 1)])
+def test_star_backbone_k2_solves_or_is_refused(tmp_path, capsys, n, code):
+    # a star backbone inside a fan host: every triangle is (0, v, v + 1)
+    # and scores 1, so the fan is the only retaining 2-tree. The DP's
+    # cover count grows exponentially in the backbone degree, so above
+    # degree 7 at k = 2 the solve is refused before it starts
+    edges = [[0, v] for v in range(1, n)]
+    rim = [[v, v + 1] for v in range(1, n - 1)]
+    graph = {"n": n, "edges": edges + rim, "backbone": edges}
+    scores = {"k": 2, "root": {}, "pivot": {}}
+    for v in range(1, n - 1):
+        scores["root"][f"0,{v},{v + 1}"] = 1.0
+        for w, base in ((0, (v, v + 1)), (v, (0, v + 1)), (v + 1, (0, v))):
+            scores["pivot"][f"{w}|{base[0]},{base[1]}"] = 1.0
+    (tmp_path / "g.json").write_text(json.dumps(graph))
+    (tmp_path / "s.json").write_text(json.dumps(scores))
+    assert main(["solve", "--graph", str(tmp_path / "g.json"),
+                 "--scores", str(tmp_path / "s.json"), "--k", "2",
+                 "--out", str(tmp_path / "r.json")]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.out.splitlines()[0] == f"score {float(n - 2)}"
+    else:
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: backbone degree {n - 1} lets a 3-clique split it into up "
+            f"to {3 * (n - 1) - 2} components (limit 21)\n")
+
+
 def test_non_integer_joint_key_names_file_and_key(tmp_path, capsys):
     (tmp_path / "j.json").write_text(json.dumps(dict(GOOD_JOINT, probs={"a,0,0": 1.0})))
     (tmp_path / "r.json").write_text(json.dumps(GOOD_RESULT))

@@ -114,6 +114,43 @@ def test_marginal_kernel_matches_ravel_multi_index():
             assert entropy(s, vs) == float(-(nz * np.log2(nz)).sum())
 
 
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 1000, 20000])
+def test_bitset_and_bincount_marginals_match_ravel_multi_index(m):
+    # counts come from row bitsets when cells * ceil(m/64) <= m and from
+    # cell codes otherwise; both must equal the ravel_multi_index
+    # counts exactly, on samples the sampler hands over uncopied
+    rng = np.random.default_rng(m)
+    sizes = (2, 3, 4, 4, 4, 5, 6, 2)
+    t = random_ktree(len(sizes), 2, rng)
+    s = sample_markov_ktree(t, random_conditionals(t, sizes, rng), m, seed=m)
+    words = -(-m // 64)
+    picks = [tuple(int(v) for v in rng.permutation(len(sizes))[:size])
+             for size in (1, 2, 3) for _ in range(15)]
+    if m == 64:
+        picks.append((4, 2, 3))  # 64 cells: exactly at the rule
+    sides = set()
+    for vs in picks:
+        fresh = SampleMatrix(s.data, s.alphabet_sizes)
+        assert fresh.data is s.data
+        got = information._marginal_array(fresh, vs)
+        want = old_marginal(fresh, vs)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        cost = math.prod(sizes[v] for v in vs) * words
+        sides.add((cost > m) - (cost < m))
+        built = [fresh._bits[v] is not None for v in range(len(sizes))]
+        assert built == [cost <= m and v in vs for v in range(len(sizes))]
+    assert 1 in sides and (-1 in sides or m == 1)
+    assert 0 in sides or m != 64
+
+
+def test_wide_alphabets_take_the_bincount_path():
+    rng = np.random.default_rng(7)
+    s = SampleMatrix(rng.integers(0, 300, size=(20000, 2)), (300, 300))
+    got = information._marginal_array(s, (1, 0))
+    assert np.array_equal(got, old_marginal(s, (1, 0)))
+    assert s._bits == [None, None]
+
+
 @pytest.mark.parametrize("row, vs, cells", [
     ([1_000_000, 1_000_000, 0], (1, 0), 1_000_002_000_001),
     ([1_000_000, 1_000_000, 1_000_000], (0, 1, 2), 1_000_003_000_003_000_001),

@@ -18,6 +18,7 @@ from ktspan import (
     score_ktree,
     solve_retaining_mskt,
 )
+from ktspan import graphs as graphs_mod
 from ktspan import solver as solver_mod
 from ktspan.bruteforce import (
     best_rooted_score,
@@ -288,6 +289,27 @@ def test_large_k1_solve_matches_the_rerooted_backbone(n):
     assert res.score == ref.score
     assert res.root_score_component == ref.root_score_component
     assert res.ktree.creation_order == ref.ktree.creation_order
+
+
+def test_k1_solve_validates_one_ktree(monkeypatch):
+    # the all-roots walk reads the backbone's creation order directly,
+    # so only the winner is built and checked as a KTree, also when it
+    # is not rooted at the smallest edge
+    calls = []
+    validate = graphs_mod.validate_ktree
+
+    def counting(t):
+        calls.append(t)
+        return validate(t)
+
+    h = path_backbone(8)
+    g = UndirectedGraph.complete(8)
+    pivots = {(w, (b,)): 1.0 for w in range(8) for b in range(8) if w != b}
+    oracle = ExplicitScoreOracle(1, {(3, 4): 5.0}, pivots)
+    monkeypatch.setattr(graphs_mod, "validate_ktree", counting)
+    res = solve_retaining_mskt(g, h, 1, oracle)
+    assert res.ktree.root_clique == (3, 4) and res.score == 11.0
+    assert len(calls) == 1
 
 
 def k1_differential_instance(seed):
