@@ -6,10 +6,11 @@ divergences are in bits.
 
 A sample marginal is counted one of two ways, with the same exact
 integer counts. When its cells times ceil(m/64) is at most the row
-count m, each cell is the popcount of its symbols' row bitsets ANDed
-together, about one word operation per 64 rows and cell. Otherwise
-every row gets its cell code and np.bincount counts them, the only way
-that fits in memory for large cell counts.
+count m and no variable in it has more than 8 symbols, each cell is
+the popcount of its symbols' row bitsets ANDed together, about one word
+operation per 64 rows and cell. Otherwise every row gets its cell code
+and np.bincount counts them, the only way that fits in memory for large
+cell counts.
 """
 
 from __future__ import annotations
@@ -24,6 +25,15 @@ from .graphs import KTree, UndirectedGraph, iter_cliques
 
 # dense joint tables beyond this many cells are refused
 MAX_TABLE_CELLS = 1 << 20
+
+# widest alphabet counted from row bitsets. A variable's bitsets cost one
+# pass over its column per symbol to build, and a wide variable meets
+# few marginals small enough to reuse them: alone, or beside binary
+# variables only. At m = 20,000 one marginal over one variable took
+# 48-67 us by bincount; building and counting from bitsets took 36 us
+# at 2 symbols, 57 at 4, 117 at 8, 203 at 16 and 867 at 63, and once
+# built, 6-20 us for up to 32 symbols
+_MAX_BITSET_ALPHABET = 8
 
 
 class SampleMatrix:
@@ -161,7 +171,8 @@ def _marginal_array(source, variables):
             raise InstanceTooLargeError(
                 f"marginal over variables {vs} would need {cells} cells "
                 f"(limit {MAX_TABLE_CELLS})")
-        if cells * -(-source.m // 64) <= source.m:
+        if (cells * -(-source.m // 64) <= source.m
+                and max(sizes) <= _MAX_BITSET_ALPHABET):
             # fewer words to AND and count than rows to code: cell
             # (s0, s1, ...) is the popcount of its symbols' bitsets ANDed,
             # broadcast so the cells come out in row-major order

@@ -46,14 +46,16 @@ from .separation import component_count_bound, components_masks, region_componen
 
 _MISSING = object()
 
-# most backbone components a clique may split off (component_count_bound
-# of the backbone's maximum degree); a table state splits its region up
-# to 2^(c-1) ways. Measured on spider backbones (one vertex of degree d,
-# the rest a path) with complete hosts: at k = 2 (bound 3d - 2), n = 32,
-# degree 7 takes 5x the degree-3 time, degree 8 14x and each further
-# degree 2.5-3x more; at k = 3 (bound 4d - 3), n = 24, degree 6 takes 3x
-# and degree 7 8x
-_MAX_COMPONENTS = 21
+# most backbone components a reached clique may split off. A root state
+# splits its c components into covers 2^(c-1) ways and the states below
+# it split every subset again, about 3^(c-1) covers per clique, so the
+# check reads the clique's actual components, not a bound from the
+# backbone's degree: a path backbone at any k, or a clique leaving few
+# vertices, never comes near it. Measured with unit weight products on
+# star backbones in fan hosts at k = 2, where each of the n - 2
+# triangles splits off n - 3 components: 13, 14, 15 and 16 components
+# took 0.6, 2.2, 6.1 and 21 s, about 3x per component
+_MAX_COMPONENTS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,11 +95,6 @@ class _DPSolver:
         self.gadj = g.adj
         self.hadj = h.adj
         self._bound = component_count_bound(max(h.max_degree(), 1), k)
-        if self._bound > _MAX_COMPONENTS:
-            raise InstanceTooLargeError(
-                f"backbone degree {h.max_degree()} lets a {k + 1}-clique split "
-                f"it into up to {self._bound} components (limit "
-                f"{_MAX_COMPONENTS})")
         # score-memo keys pack (base mask, pivot) with the pivot in the
         # low bits, which must hold every vertex id
         self._pshift = self.n.bit_length()
@@ -119,6 +116,10 @@ class _DPSolver:
             if len(comps) > self._bound:
                 raise InconsistentPartitionError(
                     f"{len(comps)} backbone components exceed bound {self._bound}")
+            if len(comps) > _MAX_COMPONENTS:
+                raise InstanceTooLargeError(
+                    f"clique {tuple(iter_bits(cmask))} splits the backbone into "
+                    f"{len(comps)} components (limit {_MAX_COMPONENTS})")
             hit = self._cliques[cmask] = (tuple(iter_bits(cmask)), comps)
         return hit
 
@@ -423,9 +424,9 @@ def solve_retaining_mskt(g: UndirectedGraph, h: BackboneTree, k: int,
     root-invariant oracle), and the backbone is emitted in the DP's
     order, depth first with each vertex's subtrees taken by their
     smallest vertex. Raises InfeasibleError when no retaining k-tree has
-    a defined score, and at k >= 2 InstanceTooLargeError when the
-    backbone's maximum degree lets a clique split it into more than 21
-    components, before any search.
+    a defined score, and at k >= 2 InstanceTooLargeError when a clique
+    the search reaches splits the backbone into more than 16
+    components, before any of that clique's states is filled.
     """
     err = validate_backbone(g, h)
     if err is not None:

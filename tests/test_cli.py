@@ -380,12 +380,13 @@ def test_star_backbone_k1_solves_at_any_degree(tmp_path, capsys):
         f"score {float(n - 1)}", "root 0,1", "root_score 1.0"]
 
 
-@pytest.mark.parametrize("n, code", [(6, 0), (8, 0), (9, 1), (2000, 1)])
+@pytest.mark.parametrize("n, code", [(6, 0), (9, 0), (12, 0), (20, 1), (2000, 1)])
 def test_star_backbone_k2_solves_or_is_refused(tmp_path, capsys, n, code):
     # a star backbone inside a fan host: every triangle is (0, v, v + 1)
-    # and scores 1, so the fan is the only retaining 2-tree. The DP's
-    # cover count grows exponentially in the backbone degree, so above
-    # degree 7 at k = 2 the solve is refused before it starts
+    # and scores 1, so the fan is the only retaining 2-tree. Each
+    # triangle splits the star into n - 3 components, and the DP's cover
+    # count grows exponentially in that, so above 16 of them the solve
+    # is refused at the first root
     edges = [[0, v] for v in range(1, n)]
     rim = [[v, v + 1] for v in range(1, n - 1)]
     graph = {"n": n, "edges": edges + rim, "backbone": edges}
@@ -405,8 +406,8 @@ def test_star_backbone_k2_solves_or_is_refused(tmp_path, capsys, n, code):
     else:
         assert captured.out == ""
         assert captured.err == (
-            f"error: backbone degree {n - 1} lets a 3-clique split it into up "
-            f"to {3 * (n - 1) - 2} components (limit 21)\n")
+            f"error: clique (0, 1, 2) splits the backbone into {n - 3} "
+            f"components (limit 16)\n")
 
 
 def test_non_integer_joint_key_names_file_and_key(tmp_path, capsys):

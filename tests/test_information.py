@@ -151,6 +151,18 @@ def test_wide_alphabets_take_the_bincount_path():
     assert s._bits == [None, None]
 
 
+def test_bitsets_are_built_only_for_alphabets_up_to_8():
+    # 9 and 18 cells pass the cell rule at m = 20,000, but a 9-symbol
+    # variable's bitsets would cost nine column passes for few reuses
+    rng = np.random.default_rng(8)
+    data = np.column_stack([rng.integers(0, a, 20000) for a in (9, 2, 8)])
+    s = SampleMatrix(data, (9, 2, 8))
+    for vs in ((0,), (1, 0), (2,), (2, 1)):
+        got = information._marginal_array(s, vs)
+        assert np.array_equal(got, old_marginal(s, vs))
+    assert [b is not None for b in s._bits] == [False, True, True]
+
+
 @pytest.mark.parametrize("row, vs, cells", [
     ([1_000_000, 1_000_000, 0], (1, 0), 1_000_002_000_001),
     ([1_000_000, 1_000_000, 1_000_000], (0, 1, 2), 1_000_003_000_003_000_001),

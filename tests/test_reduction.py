@@ -69,6 +69,18 @@ def test_decide_examples():
     assert not decide_kclique(cycle(6), 3)
 
 
+@pytest.mark.parametrize("n", [22, 23])
+def test_decide_near_complete_at_large_k(n):
+    # at k' = 20 a path backbone's worst-case bound, k' + 2 components,
+    # passes the DP's component cap, but every 21-clique of n <= 23
+    # vertices leaves at most two vertices to place
+    assert decide_kclique(UndirectedGraph.complete(n), 21)
+    g = UndirectedGraph(n, [e for e in itertools.combinations(range(n), 2)
+                            if e != (0, n - 1)])
+    assert decide_kclique(g, n - 1)
+    assert not decide_kclique(g, n)
+
+
 def test_decide_agrees_with_clique_scan():
     rng = np.random.default_rng(62)
     for seed in range(8):

@@ -291,6 +291,24 @@ def test_large_k1_solve_matches_the_rerooted_backbone(n):
     assert res.ktree.creation_order == ref.ktree.creation_order
 
 
+def test_high_degree_backbones_at_large_k_solve():
+    # a clique's components are counted, not bounded from the backbone's
+    # degree: d(k + 1) - k would be 23 for both instances. Unit weight
+    # products score 1 per clique of the k-tree
+    t = BackboneTree(12, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6),
+                          (2, 7), (3, 8), (3, 9), (4, 10), (4, 11)])
+    g = UndirectedGraph.complete(12, {e: 1.0 for e in
+                                      itertools.combinations(range(12), 2)})
+    res = solve_retaining_mskt(g, t, 10, WeightProductOracle(g))
+    assert res.score == 2.0 and t.edges <= res.ktree.edges
+    # a band of width 21 over a 40-vertex path is the only spanning
+    # 21-tree of itself, and each of its 22-cliques cuts the path in two
+    band = [(u, v) for u, v in itertools.combinations(range(40), 2) if v - u <= 21]
+    g = UndirectedGraph(40, band, dict.fromkeys(band, 1.0))
+    res = solve_retaining_mskt(g, path_backbone(40), 21, WeightProductOracle(g))
+    assert res.score == 19.0 and res.ktree.edges == g.edges
+
+
 def test_k1_solve_validates_one_ktree(monkeypatch):
     # the all-roots walk reads the backbone's creation order directly,
     # so only the winner is built and checked as a KTree, also when it
