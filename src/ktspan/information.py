@@ -26,6 +26,17 @@ from .graphs import KTree, UndirectedGraph, iter_cliques
 # dense joint tables beyond this many cells are refused
 MAX_TABLE_CELLS = 1 << 20
 
+# a memoized entropy is rounded to a multiple of 2**-_GRID_BITS bits, so
+# every score built from entropies is a multiple too. A double holds each
+# such multiple of magnitude at most _EXACT_LIMIT = 2**(53 - 36) = 2**17
+# bits exactly, so sums below that bound are exact: every rooting of a
+# k-tree sums its mutual-information scores to the same bits, and equal
+# totals are real ties. The rounding moves an entropy by at most 2**-37
+# bits, far below the plug-in estimator's O(1/m) bias
+_GRID_BITS = 36
+_GRID = 2.0 ** _GRID_BITS
+_EXACT_LIMIT = 2.0 ** (53 - _GRID_BITS)
+
 # widest alphabet counted from row bitsets. A variable's bitsets cost one
 # pass over its column per symbol to build, and a wide variable meets
 # few marginals small enough to reuse them: alone, or beside binary
@@ -198,12 +209,16 @@ def entropy(source, variables) -> float:
 
 
 class _Entropies:
-    """Joint entropies of one source, each variable subset computed once.
+    """Joint entropies of one source, each variable subset computed once
+    and rounded to a multiple of 2**-36 bits.
 
     Keys are sorted variable tuples, so a subset has one marginal axis
     order, and one summation order, however a caller lists it. The
     mutual-information and total-correlation formulas live here so that
-    every caller shares both the memo and the arithmetic.
+    every caller shares both the memo and the arithmetic. Their values
+    are sums of grid multiples, so they are exact, and are not clamped:
+    a clamp would break the entropy identity that makes every rooting
+    of a k-tree score the same.
     """
 
     __slots__ = ("source", "_memo")
@@ -218,41 +233,37 @@ class _Entropies:
         if h is None:
             # looked up as a module global, so a wrapper bound to
             # information.entropy sees exactly the kernel calls
-            h = self._memo[key] = entropy(self.source, key)
+            h = self._memo[key] = round(entropy(self.source, key) * _GRID) / _GRID
         return h
 
     def mutual_information(self, x: int, ys) -> float:
-        """I(x ; ys) in bits, zero when ys is empty.
-
-        The entropy identity can dip a few ulp below zero; information
-        is nonnegative, so rounding noise is clamped away.
-        """
+        """I(x ; ys) in bits, zero when ys is empty. Rounding can put
+        a zero one grid step below 0."""
         ys = tuple(ys)
         if x in ys:
             raise ValueError(f"variable {x} on both sides")
         if not ys:
             return 0.0
-        value = self((x,)) + self(ys) - self((x,) + ys)
-        return max(value, 0.0)
+        return self((x,)) + self(ys) - self((x,) + ys)
 
     def total_correlation(self, variables) -> float:
-        """Sum of marginal entropies minus the joint entropy, in bits,
-        clamped at zero like mutual_information."""
+        """Sum of marginal entropies minus the joint entropy, in bits."""
         vs = tuple(variables)
-        value = sum(self((v,)) for v in vs) - self(vs)
-        return max(float(value), 0.0)
+        return sum(self((v,)) for v in vs) - self(vs)
 
 
 def mutual_information(source, x: int, ys) -> float:
-    """I(x ; ys) in bits, zero when ys is empty; never negative, and the
-    same for every order of ys."""
-    return _Entropies(source).mutual_information(x, ys)
+    """I(x ; ys) in bits, zero when ys is empty: the score
+    MutualInformationOracle gives, a multiple of 2**-36, clamped at zero
+    so it is never negative. The same for every order of ys."""
+    return max(_Entropies(source).mutual_information(x, ys), 0.0)
 
 
 def total_correlation(source, variables) -> float:
-    """Sum of marginal entropies minus the joint entropy, in bits;
-    never negative."""
-    return _Entropies(source).total_correlation(variables)
+    """Sum of marginal entropies minus the joint entropy, in bits: the
+    root score MutualInformationOracle gives, a multiple of 2**-36,
+    clamped at zero so it is never negative."""
+    return max(_Entropies(source).total_correlation(variables), 0.0)
 
 
 class ScoreOracle:
@@ -265,14 +276,15 @@ class ScoreOracle:
     the clique, only on the (pivot, base) pair itself.
 
     root_invariant promises that every creation order of a k-tree sums
-    to the same score, whichever of its cliques is the root. The solver
-    then sweeps only the roots holding the smallest backbone edge, since
-    every retaining k-tree has a clique holding it, and returns the
-    winner rerooted at its lexicographically smallest clique. The
-    default is False: explicit tables hold arbitrary values, and mutual
-    information is root-invariant only up to rounding, so a solve from
-    samples sweeps every root and gives the same bits as a solve on the
-    tables `fit` writes.
+    to the same score, bit for bit, whichever of its cliques is the
+    root. The solver then sweeps only the roots holding the smallest
+    backbone edge, since every retaining k-tree has a clique holding it,
+    and returns the winner rerooted at its lexicographically smallest
+    clique. The default is False. Mutual-information oracles set it,
+    since their scores are exact grid multiples; explicit tables work it
+    out from their values, so the tables `fit` writes are root-invariant
+    too, and a solve from samples and a solve on those tables give the
+    same bits.
     """
 
     root_invariant = False
@@ -292,10 +304,28 @@ class MutualInformationOracle(ScoreOracle):
     construction sums to the total correlation of all variables split
     across the clique tree. Every score is built from one per-oracle
     entropy memo, so a fit or a solve computes each subset entropy once.
+
+    Entropies are rounded to multiples of 2**-36 bits, so every rooting
+    of a k-tree sums to the same bits and the oracle is root-invariant.
+    That needs every sum the solver forms to stay below 2**17 bits. No
+    sum of a k-tree's scores exceeds the sum of its variables'
+    entropies, up to a few grid steps, and a plug-in entropy is at most
+    log2 m bits, so a sample source with n * ceil(log2 m) >= 2**17 is
+    refused with InstanceTooLargeError. A joint table's entropies sum to
+    at most log2 of its cell count, far below the bound.
     """
+
+    root_invariant = True
 
     def __init__(self, source, g: UndirectedGraph):
         _check_source(source, g.n)
+        if isinstance(source, SampleMatrix):
+            bits = g.n * (source.m - 1).bit_length()
+            if bits >= _EXACT_LIMIT:
+                raise InstanceTooLargeError(
+                    f"{g.n} variables and {source.m} samples allow score sums "
+                    f"of {bits} bits; sums are exact only below "
+                    f"{int(_EXACT_LIMIT)} bits")
         self.source = source
         self.g = g
         self._entropies = _Entropies(source)
@@ -354,6 +384,16 @@ class ExplicitScoreOracle(ScoreOracle):
 
     root_scores maps sorted (k+1)-tuples to floats and pivot_scores
     maps (pivot, base frozenset) pairs to floats.
+
+    root_invariant is worked out from the tables. It holds exactly when
+    every root entry has all k+1 of its pivot entries and every pivot
+    entry its root entry; root_score(S + w) - score(w | S) is the same
+    for every pivot w of each base S; and every value is a multiple of
+    2**-36 with n * max|value| <= 2**17, n the vertices the tables
+    name. Moving a k-tree's root across a shared base S then trades
+    equal differences, and every sum is exact, so every rooting scores
+    the same bits. Tables `fit` writes pass; the check stops at the
+    first base whose differences disagree.
     """
 
     def __init__(self, k: int, root_scores, pivot_scores):
@@ -372,6 +412,21 @@ class ExplicitScoreOracle(ScoreOracle):
             if w in bset:
                 raise ValueError(f"pivot {w} inside its own attachment set")
             self.pivot_scores[(int(w), bset)] = float(s)
+        self.root_invariant = self._detect_root_invariant()
+
+    def _detect_root_invariant(self) -> bool:
+        roots = self.root_scores
+        if len(self.pivot_scores) != (self.k + 1) * len(roots):
+            return False
+        offsets = {}
+        for (w, bset), s in self.pivot_scores.items():
+            r = roots.get(tuple(sorted(bset | {w})))
+            if r is None or offsets.setdefault(bset, r - s) != r - s:
+                return False
+        values = (*roots.values(), *self.pivot_scores.values())
+        n = len({v for c in roots for v in c})
+        return (n * max(map(abs, values), default=0.0) <= _EXACT_LIMIT
+                and all((v * _GRID).is_integer() for v in values))
 
     def score(self, pivot, base):
         return self.pivot_scores.get((pivot, frozenset(base)))

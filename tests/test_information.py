@@ -25,15 +25,19 @@ from ktspan import (
 from ktspan import information
 from ktspan.errors import InstanceTooLargeError
 from ktspan.generate import (
+    gen_instance,
     random_conditionals,
+    random_explicit_scores,
     random_joint_table,
     random_ktree,
 )
+from ktspan.graphs import iter_cliques
 from ktspan.information import (
     ConditionalTable,
     ExplicitScoreOracle,
     JointTable,
     SampleMatrix,
+    WeightProductOracle,
 )
 
 FAIR = JointTable((0,), np.array([0.5, 0.5]))
@@ -464,6 +468,66 @@ def test_explicit_oracle_lookup_and_validation():
         ExplicitScoreOracle(2, {(0, 1): 1.0}, {})
     with pytest.raises(ValueError):
         ExplicitScoreOracle(2, {}, {(1, (1, 2)): 1.0})
+
+
+def fit_tables(seed, n, k):
+    """The score tables `fit` writes for a seeded gen instance."""
+    inst = gen_instance(n, k, 3, 2000, seed)
+    g = inst["g"]
+    return materialize_scores(MutualInformationOracle(inst["samples"], g), g, k)
+
+
+def uniform_tables(n, k, value):
+    g = UndirectedGraph.complete(n)
+    cliques = list(iter_cliques(g.adj, k + 1))
+    return ExplicitScoreOracle(
+        k, {c: value for c in cliques},
+        {(w, tuple(x for x in c if x != w)): value for c in cliques for w in c})
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_explicit_oracle_detects_root_invariant_tables(k):
+    fitted = fit_tables(40 + k, 8, k)
+    assert fitted.root_invariant
+    g = UndirectedGraph.complete(8)
+    assert not random_explicit_scores(g, k, np.random.default_rng(k)).root_invariant
+    # weight products are root-invariant only up to rounding: off the grid
+    rng = np.random.default_rng(10 + k)
+    weights = {e: float(rng.uniform(0.5, 1.5)) for e in g.edges}
+    wg = UndirectedGraph(8, g.edges, weights)
+    products = materialize_scores(WeightProductOracle(wg), wg, k)
+    assert not products.root_invariant
+    # a pivot entry left without its root entry, a root entry without
+    # one of its pivot entries, and a pivot moved by one grid step
+    roots = fitted.root_scores
+    pivots = {(w, tuple(sorted(b))): s for (w, b), s in fitted.pivot_scores.items()}
+    first = min(roots)
+    key = (first[0], first[1:])
+    invariant = lambda roots, pivots: ExplicitScoreOracle(k, roots, pivots).root_invariant
+    assert not invariant({c: s for c, s in roots.items() if c != first}, pivots)
+    assert not invariant(roots, {p: s for p, s in pivots.items() if p != key})
+    assert not invariant(roots, {**pivots, key: pivots[key] + 2.0 ** -36})
+
+
+def test_explicit_oracle_invariance_needs_exact_sums():
+    # 4 vertices times the largest value must stay within 2**17
+    assert uniform_tables(4, 2, 2.0 ** 15).root_invariant
+    assert not uniform_tables(4, 2, 2.0 ** 15 + 2.0 ** -36).root_invariant
+    assert not uniform_tables(4, 2, -(2.0 ** 15) - 2.0 ** -36).root_invariant
+    assert uniform_tables(4, 2, 3 * 2.0 ** -36).root_invariant
+    assert not uniform_tables(4, 2, 2.0 ** -37).root_invariant
+
+
+@pytest.mark.parametrize("m, n", [(2, 2 ** 17), (3, 2 ** 16), (5, 43691)])
+def test_mi_oracle_refuses_sources_past_the_exact_range(m, n):
+    # n * ceil(log2 m) is at least 2**17 bits here and below it at n - 1
+    def oracle(n):
+        data = np.zeros((m, n), dtype=np.int64)
+        return MutualInformationOracle(SampleMatrix(data), UndirectedGraph(n, []))
+
+    with pytest.raises(InstanceTooLargeError, match="exact only below 131072 bits"):
+        oracle(n)
+    assert oracle(n - 1).root_invariant
 
 
 def test_materialize_scores_reproduces_oracle():

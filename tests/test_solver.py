@@ -10,6 +10,7 @@ from ktspan import (
     BackboneTree,
     InfeasibleError,
     KTree,
+    MutualInformationOracle,
     NotRetainingError,
     UndirectedGraph,
     build_tree_decomposition,
@@ -26,6 +27,7 @@ from ktspan.bruteforce import (
     enumerate_retaining_ktrees,
 )
 from ktspan.generate import (
+    gen_instance,
     gnp_graph,
     random_backbone,
     random_conditionals,
@@ -221,16 +223,37 @@ def test_dp_state_counts_are_pinned(instance, sizes):
             len(s._cliques)) == sizes
 
 
-def all_ties_order(h):
-    """Creation order of a k = 2 solve on the complete host where every
-    root and pivot scores the same, so each choice comes from the
-    tie-break alone: smallest cover, then pivot, then drop."""
+def all_ties(h):
+    """The complete host on h's vertices and k = 2 tables where every
+    root and pivot scores the same; such tables are root-invariant."""
     g = UndirectedGraph.complete(h.n)
     cliques = list(iter_cliques(g.adj, 3))
     oracle = ExplicitScoreOracle(
         2, {c: 1.0 for c in cliques},
         {(w, tuple(x for x in c if x != w)): 1.0 for c in cliques for w in c})
-    return solve_retaining_mskt(g, h, 2, oracle).ktree.creation_order
+    assert oracle.root_invariant
+    return g, oracle
+
+
+def all_ties_order(h):
+    """Creation order of the DP's k = 2 search over every root of the
+    all-ties tables, so each choice comes from the DP's tie-break alone:
+    smallest cover, then pivot, then drop."""
+    g, oracle = all_ties(h)
+    oracle.root_invariant = False
+    return dp_solve(g, h, 2, oracle).ktree.creation_order
+
+
+# the public solve on the same tables sweeps only the roots holding the
+# smallest backbone edge and reroots the winner at its smallest clique;
+# on relabelling 7, whose smallest backbone edge is (0, 7), that finds
+# another of the equally scored k-trees
+ALL_TIES_SOLVE = {
+    6: ((0, ()), (1, (0,)), (2, (0, 1)), (3, (1, 2)), (4, (2, 3)),
+        (6, (2, 3)), (9, (1, 3)), (5, (0, 2)), (7, (2, 5)), (8, (0, 2))),
+    7: ((0, ()), (1, (0,)), (7, (0, 1)), (2, (1, 7)), (3, (0, 7)),
+        (4, (3, 7)), (5, (3, 7)), (6, (3, 5)), (8, (0, 3)), (9, (1, 7))),
+}
 
 
 def test_all_ties_pick_smallest_pivot_then_smallest_drop():
@@ -248,7 +271,11 @@ def test_all_ties_pick_smallest_pivot_then_smallest_drop():
 ])
 def test_all_ties_on_relabelled_backbones(relabel_seed, order):
     h = random_backbone(10, 3, np.random.default_rng(5))
-    assert all_ties_order(relabelled(h, np.random.default_rng(relabel_seed))) == order
+    h = relabelled(h, np.random.default_rng(relabel_seed))
+    assert all_ties_order(h) == order
+    g, oracle = all_ties(h)
+    assert (solve_retaining_mskt(g, h, 2, oracle).ktree.creation_order
+            == ALL_TIES_SOLVE[relabel_seed])
 
 
 def test_pivots_above_127_keep_distinct_memo_keys():
@@ -470,6 +497,26 @@ def test_root_invariant_sweep_matches_the_full_sweep(seed):
     assert abs(fast.score - full.score) <= 1e-12
     assert fast.ktree.root_clique == smallest_clique(fast.ktree)
     assert fast.root_score_component == oracle.root_score(fast.ktree.root_clique)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mi_scores_are_exact_at_every_root(seed):
+    # entropies on a power-of-two grid make every sum exact, so each
+    # rooting of the optimal k-tree scores the same bits, and sweeping
+    # the roots on the smallest backbone edge finds what all roots find
+    n, k = 12 + seed % 5, 2 + seed % 2
+    inst = gen_instance(n, k, 3, 2000, seed)
+    g, h = inst["g"], inst["h"]
+    oracle = MutualInformationOracle(inst["samples"], g)
+    fast = solve_retaining_mskt(g, h, k, oracle)
+    t = fast.ktree
+    assert {score_ktree(graphs_mod.reroot(t, base + (w,)), h, oracle)
+            for w, base in t.creation_order[k:]} == {fast.score}
+    oracle.root_invariant = False
+    full = solve_retaining_mskt(g, h, k, oracle)
+    assert full.score == fast.score
+    assert full.ktree.edges == t.edges
+    assert smallest_clique(full.ktree) == t.root_clique
 
 
 class RootLog(WeightProductOracle):
