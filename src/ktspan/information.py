@@ -63,7 +63,12 @@ class SampleMatrix:
 
     def __init__(self, data, alphabet_sizes=None):
         shared = isinstance(data, np.ndarray) and not data.flags.writeable
-        arr = np.array(data, dtype=np.int64, order="F",
+        raw = np.asarray(data)
+        # the int64 cast would truncate 1.7 to 1, and NaN or inf to junk
+        if raw.dtype.kind == "f" and not (np.isfinite(raw).all()
+                                          and (raw == np.trunc(raw)).all()):
+            raise ValueError("non-integral symbol in sample matrix")
+        arr = np.array(raw, dtype=np.int64, order="F",
                        copy=None if shared else True)
         if arr.ndim != 2:
             raise ValueError("sample matrix must be 2-dimensional")
@@ -127,6 +132,9 @@ class JointTable:
                 f"table rank {arr.ndim} != {len(self.variables)} variables")
         if arr.size == 0:
             raise ValueError("empty table")
+        # NaN passes both checks below, since it compares false
+        if not np.isfinite(arr).all():
+            raise ValueError("non-finite probability")
         if arr.min() < -1e-12:
             raise ValueError("negative probability")
         total = float(arr.sum())
@@ -440,8 +448,8 @@ def materialize_scores(oracle: ScoreOracle, g: UndirectedGraph,
     """Evaluate an oracle on every (k+1)-clique of g and freeze the
     values into explicit tables. Forbidden entries stay absent, so the
     frozen oracle reproduces the original on all of g's cliques."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    if not 1 <= k < g.n:
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={g.n}")
     root = {}
     pivot = {}
     for c in iter_cliques(g.adj, k + 1):

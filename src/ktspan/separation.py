@@ -61,23 +61,25 @@ def region_components(comps, region: int) -> tuple:
     """The components that partition region, as masks ascending by
     smallest vertex.
 
-    comps is the components_masks list of a clique and region the
-    backbone vertices its state still has to cover. Every component
-    meeting region must lie inside it and together they must cover it;
-    anything else means the transition itself was malformed.
+    comps holds the masks of a clique's components_masks list, in its
+    order, and region the backbone vertices its state still has to
+    cover. Every component meeting region must lie inside it and
+    together they must cover it; anything else means the transition
+    itself was malformed, and the error names the component by its
+    smallest vertex.
     """
     parts = []
     covered = 0
-    for _, m in comps:
+    for m in comps:
         if m & region:
             parts.append(m)
             covered |= m
     if covered != region:
-        for cid, m in comps:
+        for m in comps:
             if m & region and m & ~region:
                 raise InconsistentPartitionError(
-                    f"component {cid} {tuple(iter_bits(m))} straddles the "
-                    f"region boundary")
+                    f"component {(m & -m).bit_length() - 1} "
+                    f"{tuple(iter_bits(m))} straddles the region boundary")
         raise InconsistentPartitionError(
             f"region vertices {tuple(iter_bits(region & ~covered))} are "
             f"unreachable")

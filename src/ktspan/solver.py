@@ -15,9 +15,12 @@ the base B = clique - x, not on the clique. So a base state keyed on
 the whole base, and every clique B + x reaching it reads its best pivot.
 The child splits its region into components once, when first filled.
 Neither walks the vertices or the backbone, so on hosts of bounded
-degree a state costs the same at any n. Bitmask cliques and
-integer-packed keys keep the tables cheap; traceback replays winning
-choices into a creation order. k = 1 skips the DP: the backbone is the
+degree a state costs the same at any n. Bitmask cliques,
+integer-packed keys and one value per state keep the tables cheap: no
+choice is stored, and the traceback runs the frame of each of the
+n - k - 1 winning states again, which reads every child off the memo,
+to recover its choice and build the creation order. Per clique only its
+component masks are kept. k = 1 skips the DP: the backbone is the
 only retaining spanning 1-tree, and one walk over its clique tree
 scores every root. Either search hands back a creation order, and one
 function turns it into the result: it reports infeasibility, applies
@@ -72,18 +75,25 @@ class SolveResult:
 
 
 class _DPSolver:
-    """One DP search; holds the memo tables and the traceback choices.
+    """One DP search; holds the memo tables, one value per state.
 
     Regions and covers are unions of a clique's backbone components
-    written as vertex masks. _table and _tchoice key table states on
-    (clique << n) | region; _tchoice holds the winning (cover, pivot,
-    drop). _based keys base states on (base << n) | cover and holds
-    (best, pivot). _solve_frame and _base_frame are generators that run
-    as frames on one explicit work stack per root, driven by sweep: each
-    probes the memo before asking for a child state, so a memo hit costs
-    one dict lookup, and a miss yields the child's frame, which the
-    stack runs to completion before resuming the parent. Depth is
-    bounded by memory, not by the interpreter's recursion limit.
+    written as vertex masks. _table keys table states on
+    (clique << n) | region and holds the best total below the state.
+    _based keys base states on (base << n) | cover and holds (best,
+    pivot): the pivot breaks the drop tie of every clique reaching the
+    base. _scores keys oracle scores on (base << shift) | pivot, and
+    _cliques holds each reached clique's backbone components, as a tuple
+    of masks. No choice is stored: _solve_frame keeps its winning
+    (cover, pivot, drop) in locals and reports it only when the
+    traceback asks, and the traceback runs the frame of each winning
+    state again, which after a sweep finds every child in the memo.
+    _solve_frame and _base_frame are generators that run as frames on
+    one explicit work stack (_run): each probes the memo before asking
+    for a child state, so a memo hit costs one dict lookup, and a miss
+    yields the child's frame, which the stack runs to completion before
+    resuming the parent. Depth is bounded by memory, not by the
+    interpreter's recursion limit.
     """
 
     def __init__(self, g: UndirectedGraph, h: BackboneTree, k: int,
@@ -98,21 +108,20 @@ class _DPSolver:
         # score-memo keys pack (base mask, pivot) with the pivot in the
         # low bits, which must hold every vertex id
         self._pshift = self.n.bit_length()
-        # per clique mask its members and backbone components, and the
-        # cover index tuples per part count; region masks are too many
-        # to keep
+        # per clique mask its backbone components, and the cover index
+        # tuples per part count; region masks are too many to keep
         self._cliques = {}
         self._cover_cache = {}
         self._table = {}
-        self._tchoice = {}
         self._based = {}
         self._scores = {}
 
-    def _clique(self, cmask):
-        """Members (iter_bits tuple) and backbone components of a clique."""
-        hit = self._cliques.get(cmask)
-        if hit is None:
-            comps = components_masks(self.h, cmask)
+    def _components(self, cmask):
+        """Backbone components of a clique, as masks ascending by
+        smallest vertex."""
+        comps = self._cliques.get(cmask)
+        if comps is None:
+            comps = tuple(m for _, m in components_masks(self.h, cmask))
             if len(comps) > self._bound:
                 raise InconsistentPartitionError(
                     f"{len(comps)} backbone components exceed bound {self._bound}")
@@ -120,8 +129,8 @@ class _DPSolver:
                 raise InstanceTooLargeError(
                     f"clique {tuple(iter_bits(cmask))} splits the backbone into "
                     f"{len(comps)} components (limit {_MAX_COMPONENTS})")
-            hit = self._cliques[cmask] = (tuple(iter_bits(cmask)), comps)
-        return hit
+            self._cliques[cmask] = comps
+        return comps
 
     def _covers(self, count):
         """Index tuples of the covers holding part 0 of a region split
@@ -136,30 +145,35 @@ class _DPSolver:
                 for rest in combinations(range(1, count), size)))
         return covers
 
-    def _solve_frame(self, cmask, region):
+    def _solve_frame(self, cmask, region, choice=None):
         """Fill _table for (cmask, region): the best split of the
-        region's components into branches, each one base state."""
+        region's components into branches, each one base state. A
+        choice list, when given, receives the winning (cover, pivot,
+        drop)."""
         table = self._table
         based = self._based
         hadj = self.hadj
         n = self.n
-        members, comps = self._clique(cmask)
         key = cmask << n
-        parts = region_components(comps, region)
+        parts = region_components(self._components(cmask), region)
         best = None
-        choice = None
         for idxs in self._covers(len(parts)):
             cover = 0
             for i in idxs:
                 cover |= parts[i]
             # a dropped vertex never rejoins a clique below this point,
             # so any backbone edge from it into the cover could never be
-            # built; ties go to the smaller pivot, then the smaller drop
+            # built; ties go to the smaller pivot, then the smaller drop,
+            # the clique's bits taken in ascending order
             got = None
-            for x in members:
+            pending = cmask
+            while pending:
+                xbit = pending & -pending
+                pending ^= xbit
+                x = xbit.bit_length() - 1
                 if hadj[x] & cover:
                     continue
-                basemask = cmask ^ (1 << x)
+                basemask = cmask ^ xbit
                 bkey = (basemask << n) | cover
                 hit = based.get(bkey)
                 if hit is None:
@@ -184,11 +198,10 @@ class _DPSolver:
                 sub = 0
             total = got + sub
             if best is None or total > best:
-                best = total
-                choice = (cover, pivot, drop)
+                best, bcover, bpivot, bdrop = total, cover, pivot, drop
         table[key | region] = best
         if choice is not None:
-            self._tchoice[key | region] = choice
+            choice += bcover, bpivot, bdrop
 
     def _base_frame(self, basemask, region):
         """Fill _based for (basemask, region): the best pivot w, in the
@@ -237,6 +250,18 @@ class _DPSolver:
                 bestw = w
         self._based[(basemask << n) | region] = (best, bestw)
 
+    @staticmethod
+    def _run(frame):
+        """Run frame to completion on one explicit work stack: every
+        child frame it yields runs before it resumes."""
+        stack = [frame]
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+            else:
+                stack.append(child)
+
     def sweep(self):
         """Creation order of the best retaining k-tree, or None when no
         root has a defined score."""
@@ -260,13 +285,7 @@ class _DPSolver:
             if region:
                 # a root's region holds every vertex outside it, so no
                 # frame below ever asks for this state: run it unprobed
-                stack = [self._solve_frame(rmask, region)]
-                while stack:
-                    child = next(stack[-1], None)
-                    if child is None:
-                        stack.pop()
-                    else:
-                        stack.append(child)
+                self._run(self._solve_frame(rmask, region))
                 sub = self._table[(rmask << n) | region]
                 if sub is None:
                     continue
@@ -282,13 +301,16 @@ class _DPSolver:
         order.append((members[k], members[:k]))
         rmask = mask_of(members)
         # depth first, each branch's subtree before the next cover of
-        # its parent state: the child goes on top of the parent's rest
+        # its parent state: the child goes on top of the parent's rest.
+        # Each winning state's frame runs again to report its choice
         stack = [(rmask, ((1 << n) - 1) ^ rmask)]
         while stack:
             cmask, region = stack.pop()
             if not region:
                 continue
-            cover, w, x = self._tchoice[(cmask << n) | region]
+            choice = []
+            self._run(self._solve_frame(cmask, region, choice))
+            cover, w, x = choice
             basemask = cmask ^ (1 << x)
             order.append((w, tuple(iter_bits(basemask))))
             stack.append((cmask, region ^ cover))

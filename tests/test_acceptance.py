@@ -31,6 +31,7 @@ from ktspan import (
     total_correlation,
     validate_ktree,
 )
+from ktspan import solver as solver_mod
 from ktspan.bruteforce import (
     brute_max_score,
     brute_min_kl,
@@ -298,16 +299,21 @@ def test_criterion_9_census(capsys):
         assert got == expect, (n, k, got, expect)
 
 
+def _dense_path(n):
+    """Complete host on n vertices with U(0.5, 1.5) weight products
+    seeded by n, and the path backbone."""
+    rng = np.random.default_rng(n)
+    edges = list(itertools.combinations(range(n), 2))
+    weights = {e: float(rng.uniform(0.5, 1.5)) for e in edges}
+    g = UndirectedGraph(n, edges, weights)
+    return g, path_backbone(n), WeightProductOracle(g)
+
+
 def test_criterion_10_scaling_smoke(capsys):
     sizes = (20, 40, 80)
     medians = {}
     for n in sizes:
-        rng = np.random.default_rng(n)
-        edges = list(itertools.combinations(range(n), 2))
-        weights = {e: float(rng.uniform(0.5, 1.5)) for e in edges}
-        g = UndirectedGraph(n, edges, weights)
-        h = path_backbone(n)
-        oracle = WeightProductOracle(g)
+        g, h, oracle = _dense_path(n)
         runs = []
         for _ in range(5):
             t0 = time.perf_counter()
@@ -322,6 +328,22 @@ def test_criterion_10_scaling_smoke(capsys):
     _emit(capsys, f"[criterion 10] {verdict} quartic scaling fit "
                   f"(informational): {detail}; allowance 3x n^4 from n=20")
     # informational: a miss flags review, it does not fail the suite
+
+
+def test_dp_state_count_scaling():
+    """Criterion 10's instances measured by DP states instead of wall
+    time: table plus base states after one k = 2 sweep are exact counts,
+    so the growth exponent cannot be blurred by machine load."""
+    k = 2
+    counts = {}
+    for n in (16, 24, 32):
+        g, h, oracle = _dense_path(n)
+        dp = solver_mod._DPSolver(g, h, k, oracle)
+        dp.sweep()
+        counts[n] = len(dp._table) + len(dp._based)
+    assert counts == {16: 2119, 24: 8435, 32: 21663}
+    # 3.41 from 16 to 24, 3.28 from 24 to 32
+    assert math.log(counts[32] / counts[24]) / math.log(32 / 24) <= k + 1.5
 
 
 def test_criterion_2_retention_and_validity(capsys):

@@ -193,6 +193,19 @@ def test_solve_k_mismatch_with_score_file(tmp_path, capsys):
     assert "k=2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", [3, 5])
+def test_fit_refuses_k_at_least_n(tmp_path, capsys, k):
+    # the solver refuses such a k, so fit writes no table for it
+    rng = np.random.default_rng(92)
+    save_samples(tmp_path / "s.csv", SampleMatrix(rng.integers(0, 2, size=(50, 3))))
+    save_graph(tmp_path / "g.json", UndirectedGraph.complete(3))
+    assert main(["fit", "--samples", str(tmp_path / "s.csv"),
+                 "--graph", str(tmp_path / "g.json"),
+                 "--k", str(k), "--out", str(tmp_path / "scores.json")]) == 1
+    assert f"need 1 <= k < n, got k={k}, n=3" in capsys.readouterr().err
+    assert not (tmp_path / "scores.json").exists()
+
+
 def test_missing_file_and_usage_errors(tmp_path, capsys):
     assert main(["solve", "--graph", str(tmp_path / "nope.json"),
                  "--scores", str(tmp_path / "nope2.json"), "--k", "2",

@@ -66,6 +66,19 @@ def test_sample_matrix_validation():
         SampleMatrix([[0, 3]], alphabet_sizes=(2, 2))
 
 
+def test_sample_matrix_refuses_non_integral_values():
+    for data in ([[1.7, 0.2], [0, 1]], np.array([[0.0, np.nan]]),
+                 np.array([[np.inf, 1.0]])):
+        with pytest.raises(ValueError, match="non-integral symbol"):
+            SampleMatrix(data)
+    # integral floats and int arrays keep working
+    ints = SampleMatrix(np.array([[1, 0], [0, 2]]))
+    floats = SampleMatrix([[1.0, 0.0], [0.0, 2.0]])
+    assert floats.data.dtype == np.int64
+    assert np.array_equal(floats.data, ints.data)
+    assert floats.alphabet_sizes == ints.alphabet_sizes == (2, 3)
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_sample_matrix_data_is_a_read_only_column_major_copy(order):
     own = np.array([[0, 1], [1, 0], [0, 2]], dtype=np.int64, order=order)
@@ -190,6 +203,16 @@ def test_joint_table_validation():
         JointTable((0,), np.array([1.5, -0.5]))
     with pytest.raises(ValueError):
         JointTable((0, 0), np.full((2, 2), 0.25))
+
+
+@pytest.mark.parametrize("cells", [
+    [np.nan, 1.0], [1.0, np.nan], [np.inf, 0.0], [[0.5, np.nan], [0.25, 0.25]],
+], ids=["nan-first", "nan-last", "inf", "nan-2d"])
+def test_joint_table_refuses_non_finite_cells(cells):
+    # NaN compares false against both the minimum and the sum check
+    variables = (0, 1) if np.ndim(cells) == 2 else (0,)
+    with pytest.raises(ValueError, match="non-finite probability"):
+        JointTable(variables, cells)
 
 
 def test_entropy_examples():

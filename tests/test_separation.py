@@ -125,7 +125,7 @@ def test_components_masks_refuses_a_separator_outside_the_tree():
 def child_ids(h, child, region, pivot):
     """Ids of the components of h minus child that partition region
     minus the pivot, via region_components."""
-    comps = components_masks(h, mask_of(child))
+    comps = [m for _, m in components_masks(h, mask_of(child))]
     parts = region_components(comps, mask_of(region) & ~(1 << pivot))
     return frozenset((m & -m).bit_length() - 1 for m in parts)
 
@@ -151,7 +151,7 @@ def test_region_components_union_region():
 
 def test_region_components_mask_tuple():
     # removing {2, 3} from the path 0..6 leaves {0, 1} and {4, 5, 6}
-    comps = components_masks(path_backbone(7), 0b0001100)
+    comps = [m for _, m in components_masks(path_backbone(7), 0b0001100)]
     assert region_components(comps, 0b1110000) == (0b1110000,)
     assert region_components(comps, 0b1110011) == (0b0000011, 0b1110000)
     assert region_components(comps, 0) == ()

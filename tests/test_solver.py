@@ -216,11 +216,22 @@ def sparse_ktree_plus_chords_instance():
 def test_dp_state_counts_are_pinned(instance, sizes):
     # one table state per (clique, region), one base state per
     # (base, cover), one oracle call per (base, pivot) reached and one
-    # components_masks call per distinct clique
+    # components_masks call per distinct clique; the traceback replays
+    # the winning frames off the memo and fills nothing
     s = solver_mod._DPSolver(*instance())
-    s.sweep()
-    assert (len(s._table), len(s._based), len(s._scores),
-            len(s._cliques)) == sizes
+    counts = lambda: (len(s._table), len(s._based), len(s._scores),
+                      len(s._cliques))
+    before = []
+    emit = s._emit
+
+    def counted_emit(members):
+        before.append(counts())
+        return emit(members)
+
+    s._emit = counted_emit
+    assert s.sweep() is not None
+    assert before == [sizes]
+    assert counts() == sizes
 
 
 def all_ties(h):
