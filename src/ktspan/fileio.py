@@ -4,8 +4,14 @@ JSON, result JSON, and DOT rendering.
 All JSON is written with sorted keys and a trailing newline so
 identical inputs produce byte-identical files.
 
-Samples and integer keys are converted to and from integer arrays a
-block of lines at a time.
+Sample rows and integer keys are parsed by whole-array passes, not per
+cell: sample rows in one pass, keys a block of lines at a time. Lines
+that are all one grid of single digits and commas, every line the same
+length (as `gen` writes sample rows and joint keys), are decoded from
+their bytes; other lines go through numpy's text parser, and both
+accept the same grammar. Samples with at most 10 symbols per variable
+are written as one byte grid, wider ones by a "%d" formatter a block of
+rows at a time, and the bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -70,29 +76,48 @@ def _edge_list(value, key, path):
     return [tuple(e) for e in value]
 
 
-def _finite_number(x):
-    # json reads NaN, Infinity and integers too large for a float
-    if type(x) not in (int, float):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
-
-
 def _number_map(value, key, path):
-    if not isinstance(value, dict) or not all(
-            _finite_number(s) for s in value.values()):
+    # json reads NaN, Infinity and integers too large for a float; the
+    # type pass runs first, so isfinite sees only ints and floats
+    try:
+        ok = (isinstance(value, dict)
+              and {int, float}.issuperset(map(type, value.values()))
+              and all(map(math.isfinite, value.values())))
+    except OverflowError:
+        ok = False
+    if not ok:
         raise ValueError(f'{path}: "{key}" must be an object of finite numbers')
     return value
+
+
+def _digit_grid(lines):
+    """Decode lines that all read "d,d,...,d" with single ASCII digits
+    d and one common length into an (m, width) int64 array, stored
+    column-major; None for any other lines."""
+    if len(set(map(len, lines))) != 1:
+        return None
+    length = len(lines[0])
+    text = "".join(lines)
+    if length % 2 == 0 or not text.isascii():
+        return None
+    grid = np.frombuffer(text.encode(), dtype=np.uint8).reshape(len(lines), length)
+    digits = grid[:, ::2] - ord("0")  # uint8: a byte below "0" wraps above 9
+    if (digits > 9).any() or (grid[:, 1::2] != ord(",")).any():
+        return None
+    return digits.astype(np.int64, order="F")
 
 
 def _int_rows(lines):
     """Parse lines of comma-separated integers into a 2-D int64 array.
 
-    Returns None when numpy refuses the lines or warns about them (a
-    block holding only empty lines). '#' starts no comment.
+    A single-digit grid is decoded from its bytes, any other lines by
+    np.loadtxt. Returns None when numpy refuses the lines or warns
+    about them (a block holding only empty lines). '#' starts no
+    comment.
     """
+    rows = _digit_grid(lines)
+    if rows is not None:
+        return rows
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -240,14 +265,26 @@ def load_samples(path) -> SampleMatrix:
         if any(row.count(",") != len(cols) - 1 for row in rows):
             raise ValueError(f"{path}: row width disagrees with header")
         raise ValueError(f"{path}: non-integer cell in sample rows")
+    # no other reference to data exists, so SampleMatrix may keep it
+    # without a copy when it is already column-major
+    data.flags.writeable = False
     return SampleMatrix(data)
 
 
 def save_samples(path, samples: SampleMatrix):
-    line = ",".join(["%d"] * samples.n) + "\n"
+    m, n = samples.data.shape
     with open(path, "w") as fh:
-        fh.write(",".join(f"x{i}" for i in range(samples.n)) + "\n")
-        for start in range(0, len(samples.data), _BLOCK_LINES):
+        fh.write(",".join(f"x{i}" for i in range(n)) + "\n")
+        if n and max(samples.alphabet_sizes) <= 10:
+            # the bytes "%d" would give: digits, then "," or a newline
+            grid = np.full((m, 2 * n), ord(","), dtype=np.uint8)
+            grid[:, ::2] = samples.data
+            grid[:, ::2] += ord("0")
+            grid[:, -1] = ord("\n")
+            fh.write(grid.tobytes().decode("ascii"))
+            return
+        line = ",".join(["%d"] * n) + "\n"
+        for start in range(0, m, _BLOCK_LINES):
             block = samples.data[start:start + _BLOCK_LINES]
             fh.write(line * len(block) % tuple(block.ravel().tolist()))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import NotRetainingError
@@ -82,7 +83,7 @@ def _adjacency(n, edges):
 
 
 class UndirectedGraph:
-    """Simple undirected graph with optional edge weights.
+    """Simple undirected graph with optional finite edge weights.
 
     Adjacency is kept as one bitmask per vertex; the solvers lean on
     that for fast neighborhood intersections.
@@ -107,7 +108,10 @@ class UndirectedGraph:
                 e = normalize_edge(u, v)
                 if e not in self.edges:
                     raise ValueError(f"weight on non-edge {e}")
-                wnorm[e] = float(w)
+                w = float(w)
+                if not math.isfinite(w):
+                    raise ValueError(f"non-finite weight {w} on edge {e}")
+                wnorm[e] = w
             self.weights = wnorm
 
     @classmethod

@@ -390,8 +390,8 @@ class WeightProductOracle(ScoreOracle):
 class ExplicitScoreOracle(ScoreOracle):
     """Scores looked up from explicit tables; absent entries are forbidden.
 
-    root_scores maps sorted (k+1)-tuples to floats and pivot_scores
-    maps (pivot, base frozenset) pairs to floats.
+    root_scores maps sorted (k+1)-tuples to finite floats and
+    pivot_scores maps (pivot, base frozenset) pairs to finite floats.
 
     root_invariant is worked out from the tables. It holds exactly when
     every root entry has all k+1 of its pivot entries and every pivot
@@ -411,7 +411,10 @@ class ExplicitScoreOracle(ScoreOracle):
             key = tuple(sorted(c))
             if len(key) != self.k + 1 or len(set(key)) != len(key):
                 raise ValueError(f"root clique {key} is not a {self.k + 1}-set")
-            self.root_scores[key] = float(s)
+            s = float(s)
+            if not math.isfinite(s):
+                raise ValueError(f"non-finite score {s} for root clique {key}")
+            self.root_scores[key] = s
         self.pivot_scores = {}
         for (w, b), s in pivot_scores.items():
             bset = frozenset(b)
@@ -419,7 +422,11 @@ class ExplicitScoreOracle(ScoreOracle):
                 raise ValueError(f"attachment set {sorted(bset)} is not a {self.k}-set")
             if w in bset:
                 raise ValueError(f"pivot {w} inside its own attachment set")
-            self.pivot_scores[(int(w), bset)] = float(s)
+            s = float(s)
+            if not math.isfinite(s):
+                raise ValueError(
+                    f"non-finite score {s} for pivot {w} on {sorted(bset)}")
+            self.pivot_scores[(int(w), bset)] = s
         self.root_invariant = self._detect_root_invariant()
 
     def _detect_root_invariant(self) -> bool:

@@ -14,6 +14,7 @@ from ktspan import (
     path_backbone,
     solve_retaining_mskt,
 )
+from ktspan import fileio
 from ktspan.errors import InstanceTooLargeError
 from ktspan.fileio import (
     ktree_to_dot,
@@ -308,44 +309,88 @@ def spaced(cells, style):
     return ",".join(cells)
 
 
-def random_joint_obj(rng):
+def grid_near_miss(lines, rng):
+    """Half the time, `lines` as they are; otherwise a copy with one
+    near-miss of a single-digit grid: a cell of 10, a leading 0 or +, a
+    trailing space or \\r, a cell just outside "0"-"9", a separator
+    other than ",", a "," after every line, or one cell moved to the
+    end of the line before it, which leaves the joined text as it was."""
+    lines = list(lines)
+    if rng.random() < 0.5:
+        return lines
+    i = int(rng.integers(len(lines)))
+    cells = lines[i].split(",")
+    j = int(rng.integers(len(cells)))
+    kind = rng.integers(7)
+    if kind == 0:
+        cells[j] = "10"
+    elif kind == 1:
+        cells[j] = str(rng.choice(["0", "+"])) + cells[j]
+    elif kind == 2:
+        cells[-1] += str(rng.choice([" ", "\r"]))
+    elif kind == 3:
+        cells[j] = str(rng.choice(["/", ":", "a"]))
+    elif kind == 4 and j > 0:
+        cells[j] = str(rng.choice([";", ".", " "])) + cells[j]
+        lines[i] = ",".join(cells[:j]) + ",".join(cells[j:])
+        return lines
+    elif kind == 5:
+        return [line + "," for line in lines]
+    elif kind == 6 and i + 1 < len(lines):
+        lines[i] += lines[i + 1][:1]
+        lines[i + 1] = lines[i + 1][1:]
+        return lines
+    lines[i] = ",".join(cells)
+    return lines
+
+
+def random_joint_obj(rng, clean=False):
+    """A joint object with spaced keys and at times a second spelling
+    of one key or a bad key. With clean, the keys are "d,d,...,d"
+    (single digits unless an alphabet reaches 11), passed through
+    grid_near_miss."""
     n = int(rng.integers(1, 9))
     alphabets = []
     for _ in range(n):
-        a = int(rng.integers(2, 6))
+        a = int(rng.integers(2, 12 if clean else 6))
         alphabets.append(a if np.prod(alphabets + [a]) <= 4096 else 2)
     cells = list(np.ndindex(*alphabets))
     keep = rng.random(len(cells)) < rng.choice([0.1, 0.5, 1.0])
     kept = [c for c, k in zip(cells, keep) if k] or cells[:1]
     mass = rng.random(len(kept))
     mass /= mass.sum()
-    styles = rng.integers(4, size=len(kept))
-    items = [(spaced([str(x) for x in c], style), float(p))
-             for c, style, p in zip(kept, styles, mass)]
-    rng.shuffle(items)
-    if rng.random() < 0.2:
-        # the same cell under a second spelling: the later key wins, so
-        # the earlier one gets a mass that would break the sum
-        j = int(rng.integers(len(items)))
-        key, p = items[j]
-        at = int(rng.integers(len(items) + 1))
-        items.insert(at, (" " + key.replace(",", " , ") + " ", p))
-        if at <= j:
-            items[at] = (items[at][0], 0.5)
-        else:
-            items[j] = (key, 0.5)
-    if rng.random() < 0.5:
-        bad = [str(int(x)) for x in cells[int(rng.integers(len(cells)))]]
-        kind = rng.integers(4)
-        if kind == 0:
-            bad[int(rng.integers(n))] = str(rng.choice(BAD_CELLS))
-        elif kind == 1:
-            bad.append("0") if rng.random() < 0.5 or n == 1 else bad.pop()
-        elif kind == 2:
-            i = int(rng.integers(n))
-            bad[i] = str(alphabets[i] + int(rng.integers(3)))
-        key = "" if kind == 3 else ",".join(bad)
-        items.insert(int(rng.integers(len(items) + 1)), (key, 0.25))
+    if clean:
+        keys = grid_near_miss([",".join(map(str, c)) for c in kept], rng)
+        items = list(zip(keys, mass.tolist()))
+        rng.shuffle(items)
+    else:
+        styles = rng.integers(4, size=len(kept))
+        items = [(spaced([str(x) for x in c], style), float(p))
+                 for c, style, p in zip(kept, styles, mass)]
+        rng.shuffle(items)
+        if rng.random() < 0.2:
+            # the same cell under a second spelling: the later key wins, so
+            # the earlier one gets a mass that would break the sum
+            j = int(rng.integers(len(items)))
+            key, p = items[j]
+            at = int(rng.integers(len(items) + 1))
+            items.insert(at, (" " + key.replace(",", " , ") + " ", p))
+            if at <= j:
+                items[at] = (items[at][0], 0.5)
+            else:
+                items[j] = (key, 0.5)
+        if rng.random() < 0.5:
+            bad = [str(int(x)) for x in cells[int(rng.integers(len(cells)))]]
+            kind = rng.integers(4)
+            if kind == 0:
+                bad[int(rng.integers(n))] = str(rng.choice(BAD_CELLS))
+            elif kind == 1:
+                bad.append("0") if rng.random() < 0.5 or n == 1 else bad.pop()
+            elif kind == 2:
+                i = int(rng.integers(n))
+                bad[i] = str(alphabets[i] + int(rng.integers(3)))
+            key = "" if kind == 3 else ",".join(bad)
+            items.insert(int(rng.integers(len(items) + 1)), (key, 0.25))
     variables = [int(v) for v in rng.permutation(20)[:n]]
     return {"vars": variables, "alphabets": alphabets, "probs": dict(items)}
 
@@ -420,23 +465,30 @@ def test_load_joint_allows_whitespace_around_a_key(tmp_path, key):
     assert load_joint(p).table.tolist() == [0.25, 0.75]
 
 
-def random_samples_text(rng):
+def random_samples_text(rng, clean=False):
+    """A samples CSV with spaced rows, blank lines and at times a bad
+    row. With clean, the rows are "d,d,...,d" (single digits unless a
+    symbol reaches 10), passed through grid_near_miss."""
     n = int(rng.integers(1, 9))
-    data = rng.integers(0, rng.integers(2, 6), size=(int(rng.integers(1, 40)), n))
-    lines = [spaced([str(x) for x in row], style)
-             for row, style in zip(data, rng.integers(4, size=len(data)))]
-    for _ in range(int(rng.integers(3))):
-        lines.insert(int(rng.integers(len(lines) + 1)), rng.choice(["", "  ", "\t"]))
-    if rng.random() < 0.5:
-        row = [str(x) for x in data[0]]
-        kind = rng.integers(3)
-        if kind == 0:
-            row[int(rng.integers(n))] = str(rng.choice(BAD_CELLS))
-        elif kind == 1:
-            row.append(str(rng.choice(["0", ""])))
-        elif n > 1:
-            row.pop()
-        lines.insert(int(rng.integers(len(lines) + 1)), ",".join(row))
+    data = rng.integers(0, rng.integers(2, 12 if clean else 6),
+                        size=(int(rng.integers(1, 40)), n))
+    if clean:
+        lines = grid_near_miss([",".join(map(str, row)) for row in data], rng)
+    else:
+        lines = [spaced([str(x) for x in row], style)
+                 for row, style in zip(data, rng.integers(4, size=len(data)))]
+        for _ in range(int(rng.integers(3))):
+            lines.insert(int(rng.integers(len(lines) + 1)), rng.choice(["", "  ", "\t"]))
+        if rng.random() < 0.5:
+            row = [str(x) for x in data[0]]
+            kind = rng.integers(3)
+            if kind == 0:
+                row[int(rng.integers(n))] = str(rng.choice(BAD_CELLS))
+            elif kind == 1:
+                row.append(str(rng.choice(["0", ""])))
+            elif n > 1:
+                row.pop()
+            lines.insert(int(rng.integers(len(lines) + 1)), ",".join(row))
     header = ",".join(f"x{i}" for i in range(n))
     return header + "\n" + "\n".join(lines) + "\n"
 
@@ -479,3 +531,123 @@ def test_sample_row_errors(tmp_path, text, message):
     p.write_text(text)
     with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
         load_samples(p)
+
+
+def digit_grid_results(monkeypatch):
+    """The list that each later call of fileio._digit_grid appends its
+    result to."""
+    seen = []
+    decode = fileio._digit_grid
+    monkeypatch.setattr(fileio, "_digit_grid",
+                        lambda lines: seen.append(decode(lines)) or seen[-1])
+    return seen
+
+
+def test_clean_grids_and_near_misses_match_the_per_cell_loops(tmp_path, monkeypatch):
+    seen = digit_grid_results(monkeypatch)
+    p, a, b = tmp_path / "in", tmp_path / "a", tmp_path / "b"
+    grids = 0
+    for seed in range(100):
+        p.write_text(random_samples_text(np.random.default_rng([seed, 9]), clean=True))
+        want = outcome(reference_load_samples, p)
+        seen.clear()
+        assert outcome(load_samples, p) == want, (seed, want)
+        grids += seen[0] is not None
+        if not isinstance(want[0], type):
+            save_samples(a, load_samples(p))
+            reference_save_samples(b, load_samples(p))
+            assert a.read_bytes() == b.read_bytes(), seed
+    for seed in range(50):
+        obj = random_joint_obj(np.random.default_rng([seed, 10]), clean=True)
+        p.write_text(json.dumps(obj))
+        want = outcome(reference_load_joint, p)
+        seen.clear()
+        assert outcome(load_joint, p) == want, (seed, want)
+        grids += seen[0] is not None
+    # about half the files are clean grids: both sides of the choice run
+    assert 50 <= grids <= 100
+
+
+# Lines of three cells: a grid, then near-misses that _digit_grid must
+# leave to numpy's parser. A _digit_grid without any one of its checks
+# misreads, or fails on, at least one of them. Where numpy's parser
+# accepts a near-miss, it reads the values the per-cell loops read.
+GRID_NEAR_MISSES = {
+    "grid": ["0,1,0", "1,1,0", "0,0,1"],
+    "ten": ["0,1,0", "1,10,0", "0,0,1"],
+    "leading-zero": ["0,1,0", "01,1,0", "0,0,1"],
+    "plus": ["0,1,0", "1,+1,0", "0,0,1"],
+    "inner-space": ["0,1,0", "1 ,1,0", "0,0,1"],
+    "trailing-space": ["0,1,0", "1,1,0 ", "0,0,1"],
+    "trailing-cr": ["0,1,0", "1,1,0\r", "0,0,1"],
+    "unequal-lengths": ["0,1,0", "1,1,01", ",1,0"],
+    "trailing-comma": ["0,1,0,", "1,1,0,", "0,0,1,"],
+    "below-zero": ["0,1,0", "1,/,0", "0,0,1"],
+    "above-nine": ["0,1,0", "1,:,0", "0,0,1"],
+    "semicolon": ["0,1,0", "1;1,0", "0,0,1"],
+}
+
+
+@pytest.mark.parametrize("name", GRID_NEAR_MISSES)
+def test_grid_near_misses_match_the_per_cell_loops(tmp_path, name):
+    lines = GRID_NEAR_MISSES[name]
+    p = tmp_path / "s.csv"
+    p.write_text("x0,x1,x2\n" + "\n".join(lines) + "\n")
+    got = outcome(load_samples, p)
+    assert got == outcome(reference_load_samples, p)
+    assert isinstance(got[0], type) == (name in (
+        "unequal-lengths", "trailing-comma", "below-zero", "above-nine", "semicolon"))
+    p = tmp_path / "joint.json"
+    p.write_text(json.dumps({"vars": [0, 1, 2], "alphabets": [2, 2, 2],
+                             "probs": {key: 1 / len(lines) for key in lines}}))
+    assert outcome(load_joint, p) == outcome(reference_load_joint, p)
+
+
+def test_non_ascii_digits_are_refused_in_a_grid(tmp_path):
+    # int() reads "١" as 1, so the per-cell loops are no reference here
+    p = tmp_path / "s.csv"
+    p.write_text("x0,x1\n0,1\n١,0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{p}: non-integer cell in sample rows")):
+        load_samples(p)
+    p = tmp_path / "joint.json"
+    p.write_text(json.dumps({"vars": [0, 1], "alphabets": [2, 2],
+                             "probs": {"0,1": 0.5, "١,0": 0.5}}))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{p}: assignment '١,0' is not comma-separated integers")):
+        load_joint(p)
+
+
+@pytest.mark.parametrize("symbols", [2, 9, 10, 11])
+def test_save_samples_matches_savetxt_by_alphabet(tmp_path, symbols):
+    s = SampleMatrix(np.random.default_rng(87).integers(0, symbols, size=(300, 5)))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    save_samples(a, s)
+    reference_save_samples(b, s)
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_loaded_grid_is_kept_without_a_copy(tmp_path, monkeypatch):
+    seen = digit_grid_results(monkeypatch)
+    p = tmp_path / "s.csv"
+    p.write_text("x0,x1,x2\n0,1,2\n1,0,0\n")
+    grid = load_samples(p)
+    assert grid.data is seen[-1]
+    p.write_text("x0,x1,x2\n0, 1,2\n1,0,10\n")
+    text = load_samples(p)
+    assert seen[-1] is None
+    for s, rows in ((grid, [[0, 1, 2], [1, 0, 0]]), (text, [[0, 1, 2], [1, 0, 10]])):
+        assert s.data.tolist() == rows
+        assert s.data.flags.f_contiguous and not s.data.flags.writeable
+
+
+@pytest.mark.parametrize("value", [
+    "true", '"1"', "null", "NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+def test_probabilities_must_be_finite_numbers(tmp_path, value):
+    p = tmp_path / "joint.json"
+    p.write_text('{"vars": [0], "alphabets": [2], "probs": {"0": %s, "1": 0}}' % value)
+    with pytest.raises(ValueError, match=re.escape(
+            f'{p}: "probs" must be an object of finite numbers')):
+        load_joint(p)
+    for probs in ('{"0": 1, "1": 0}', '{"0": 0.25, "1": 0.75}', '{"0": 1, "1": 0.0}'):
+        p.write_text('{"vars": [0], "alphabets": [2], "probs": %s}' % probs)
+        assert load_joint(p).table.sum() == 1.0

@@ -79,6 +79,15 @@ def test_graph_weights():
         UndirectedGraph(3, [(0, 1)], {(0, 2): 1.0})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_graph_refuses_non_finite_weights(bad):
+    # a NaN weight used to solve under WeightProductOracle to score nan
+    weights = {e: 1.0 for e in itertools.combinations(range(6), 2)}
+    weights[(2, 4)] = bad
+    with pytest.raises(ValueError, match=r"non-finite weight .* on edge \(2, 4\)"):
+        UndirectedGraph.complete(6, weights)
+
+
 def test_validate_ktree_accepts_known_shapes():
     assert validate_ktree(tri()) is None
     assert validate_ktree(k4_minus_03()) is None

@@ -493,6 +493,14 @@ def test_explicit_oracle_lookup_and_validation():
         ExplicitScoreOracle(2, {}, {(1, (1, 2)): 1.0})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_explicit_oracle_refuses_non_finite_scores(bad):
+    with pytest.raises(ValueError, match=r"non-finite score .* for root clique \(0, 1, 2\)"):
+        ExplicitScoreOracle(2, {(0, 1, 2): bad}, {})
+    with pytest.raises(ValueError, match=r"non-finite score .* for pivot 3 on \[1, 2\]"):
+        ExplicitScoreOracle(2, {(0, 1, 2): 1.0}, {(3, (2, 1)): bad})
+
+
 def fit_tables(seed, n, k):
     """The score tables `fit` writes for a seeded gen instance."""
     inst = gen_instance(n, k, 3, 2000, seed)
