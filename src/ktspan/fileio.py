@@ -5,13 +5,13 @@ All JSON is written with sorted keys and a trailing newline so
 identical inputs produce byte-identical files.
 
 Sample rows and integer keys are parsed by whole-array passes, not per
-cell: sample rows in one pass, keys a block of lines at a time. Lines
-that are all one grid of single digits and commas, every line the same
-length (as `gen` writes sample rows and joint keys), are decoded from
-their bytes; other lines go through numpy's text parser, and both
-accept the same grammar. Samples with at most 10 symbols per variable
-are written as one byte grid, wider ones by a "%d" formatter a block of
-rows at a time, and the bytes are the same either way.
+cell: a samples body in one pass, keys a block of lines at a time. Text
+that is whole lines of one grid of single digits and commas, every line
+the same length (as `gen` writes sample rows and joint keys), is
+decoded from its bytes; other lines go through numpy's text parser,
+and both accept the same grammar. Samples with at most 10 symbols per
+variable are written as one byte grid, wider ones by a "%d" formatter a
+block of rows at a time, and the bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -34,6 +34,10 @@ _BLOCK_LINES = 8192
 
 # an integer cell too wide for int64 parses once its digits are zeroed
 _ZERO_DIGITS = str.maketrans("123456789", "000000000")
+
+# a line break around an integer of a key is whitespace, as a space is;
+# numpy's parser would end the line there
+_BREAKS_TO_SPACES = str.maketrans("\r\n", "  ")
 
 
 def _load_json(path):
@@ -90,19 +94,17 @@ def _number_map(value, key, path):
     return value
 
 
-def _digit_grid(lines):
-    """Decode lines that all read "d,d,...,d" with single ASCII digits
-    d and one common length into an (m, width) int64 array, stored
-    column-major; None for any other lines."""
-    if len(set(map(len, lines))) != 1:
+def _digit_grid(text):
+    """Decode text that is whole lines "d,d,...,d\\n", single ASCII
+    digits d and every line the same length, into an (m, width) int64
+    array stored column-major; None for any other text."""
+    length = text.find("\n") + 1
+    if not length or length % 2 or len(text) % length or not text.isascii():
         return None
-    length = len(lines[0])
-    text = "".join(lines)
-    if length % 2 == 0 or not text.isascii():
-        return None
-    grid = np.frombuffer(text.encode(), dtype=np.uint8).reshape(len(lines), length)
+    grid = np.frombuffer(text.encode(), dtype=np.uint8).reshape(-1, length)
     digits = grid[:, ::2] - ord("0")  # uint8: a byte below "0" wraps above 9
-    if (digits > 9).any() or (grid[:, 1::2] != ord(",")).any():
+    if ((digits > 9).any() or (grid[:, 1:-1:2] != ord(",")).any()
+            or (grid[:, -1] != ord("\n")).any()):
         return None
     return digits.astype(np.int64, order="F")
 
@@ -113,9 +115,10 @@ def _int_rows(lines):
     A single-digit grid is decoded from its bytes, any other lines by
     np.loadtxt. Returns None when numpy refuses the lines or warns
     about them (a block holding only empty lines). '#' starts no
-    comment.
+    comment. A line holding a newline can come back as more than one
+    row, so callers check the row count.
     """
-    rows = _digit_grid(lines)
+    rows = _digit_grid("\n".join([*lines, ""]))
     if rows is not None:
         return rows
     try:
@@ -142,14 +145,18 @@ def _int_key_blocks(path, keys, width, label="key",
     is the text parsed for each key where that is not the key itself;
     `bounds`, when given, are exclusive upper bounds per column, and 0
     is every column's lower bound. A block that fails is parsed again
-    one key at a time, and the error names the first bad key in file
-    order: not integers, the wrong width, or out of range, which an
-    integer too wide for int64 always is.
+    with its line breaks read as spaces, and then one key at a time, and
+    the error names the first bad key in file order: not integers, the
+    wrong width, or out of range, which an integer too wide for int64
+    always is.
     """
     lines = keys if lines is None else lines
     for start in range(0, len(keys), _BLOCK_LINES):
         block = lines[start:start + _BLOCK_LINES]
         rows = _int_rows(block)
+        if not _fits(rows, len(block), width, bounds):
+            block = [line.translate(_BREAKS_TO_SPACES) for line in block]
+            rows = _int_rows(block)
         if not _fits(rows, len(block), width, bounds):
             for key, line in zip(keys[start:start + len(block)], block):
                 row = _int_rows([line])
@@ -250,21 +257,26 @@ def load_samples(path) -> SampleMatrix:
     """Read a samples CSV with header x0,x1,...,x{n-1}.
 
     Rows are comma-separated integers; blank lines are skipped and '#'
-    starts no comment.
+    starts no comment. The body is read once: rows of single digits,
+    every line ending in a newline, are decoded from its bytes in one
+    pass, and any other body is split into lines at newlines only.
     """
     with open(path) as fh:
         header = fh.readline().strip()
-        cols = header.split(",") if header else []
-        if not cols or cols != [f"x{i}" for i in range(len(cols))]:
-            raise ValueError(f"{path}: header must be x0,x1,...")
-        rows = [line.strip() for line in fh if line.strip()]
-    if not rows:
-        raise ValueError(f"{path}: no sample rows")
-    data = _int_rows(rows)
+        body = fh.read()
+    cols = header.split(",") if header else []
+    if not cols or cols != [f"x{i}" for i in range(len(cols))]:
+        raise ValueError(f"{path}: header must be x0,x1,...")
+    data = _digit_grid(body)
     if data is None or data.shape[1] != len(cols):
-        if any(row.count(",") != len(cols) - 1 for row in rows):
-            raise ValueError(f"{path}: row width disagrees with header")
-        raise ValueError(f"{path}: non-integer cell in sample rows")
+        rows = [row for line in body.split("\n") if (row := line.strip())]
+        if not rows:
+            raise ValueError(f"{path}: no sample rows")
+        data = _int_rows(rows)
+        if data is None or data.shape[1] != len(cols):
+            if any(row.count(",") != len(cols) - 1 for row in rows):
+                raise ValueError(f"{path}: row width disagrees with header")
+            raise ValueError(f"{path}: non-integer cell in sample rows")
     # no other reference to data exists, so SampleMatrix may keep it
     # without a copy when it is already column-major
     data.flags.writeable = False

@@ -29,6 +29,21 @@ def mask_of(vertices) -> int:
     return m
 
 
+def mask_is_clique(adj, mask: int) -> bool:
+    """Whether the vertices of mask are pairwise adjacent; adj is a
+    per-vertex neighbor bitmask list, and a vertex past its end is
+    adjacent to none."""
+    if mask >> len(adj):
+        return False
+    rest = mask
+    while rest:
+        bit = rest & -rest
+        if mask & ~adj[bit.bit_length() - 1] != bit:
+            return False
+        rest ^= bit
+    return True
+
+
 def iter_bits(mask: int):
     """Yield the set bit positions of mask in ascending order."""
     while mask:
@@ -37,9 +52,10 @@ def iter_bits(mask: int):
         mask ^= low
 
 
-def iter_cliques(adj, size: int):
+def iter_cliques(adj, size: int, within: int | None = None):
     """Yield every clique of `size` vertices as an ascending tuple, in
-    lexicographic order.
+    lexicographic order, among the vertices of the mask `within` (all
+    vertices when None).
 
     adj is a per-vertex neighbor bitmask list. Each prefix is extended
     only by the common neighbors of its members above its last vertex
@@ -52,7 +68,7 @@ def iter_cliques(adj, size: int):
         prefix = []
         # stack[i] holds the candidates still open for position i; an
         # explicit stack, since size may exceed the recursion limit
-        stack = [(1 << len(adj)) - 1]
+        stack = [(1 << len(adj)) - 1 if within is None else within]
         while stack:
             cand = stack[-1]
             if cand.bit_count() < size - len(prefix):
@@ -128,8 +144,9 @@ class UndirectedGraph:
         return tuple(iter_bits(self.adj[v]))
 
     def is_clique(self, vertices) -> bool:
-        return all(self.adj[u] >> v & 1
-                   for u, v in itertools.combinations(tuple(vertices), 2))
+        vs = tuple(vertices)
+        mask = mask_of(vs)
+        return mask.bit_count() == len(vs) and mask_is_clique(self.adj, mask)
 
     def weight(self, u: int, v: int):
         """Weight of the edge, or None when absent or unweighted."""

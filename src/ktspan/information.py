@@ -21,7 +21,14 @@ import math
 import numpy as np
 
 from .errors import InstanceTooLargeError
-from .graphs import KTree, UndirectedGraph, iter_cliques
+from .graphs import (
+    KTree,
+    UndirectedGraph,
+    iter_bits,
+    iter_cliques,
+    mask_is_clique,
+    mask_of,
+)
 
 # dense joint tables beyond this many cells are refused
 MAX_TABLE_CELLS = 1 << 20
@@ -220,44 +227,72 @@ class _Entropies:
     """Joint entropies of one source, each variable subset computed once
     and rounded to a multiple of 2**-36 bits.
 
-    Keys are sorted variable tuples, so a subset has one marginal axis
-    order, and one summation order, however a caller lists it. The
-    mutual-information and total-correlation formulas live here so that
-    every caller shares both the memo and the arithmetic. Their values
-    are sums of grid multiples, so they are exact, and are not clamped:
-    a clamp would break the entropy identity that makes every rooting
-    of a k-tree score the same.
+    A subset is keyed by its bitmask over the source's variables, bit i
+    for the i-th smallest: bits come from positions, not labels, which
+    may be negative or huge. A memo hit is one dict lookup, and a miss
+    hands the kernel the sorted variable tuple, so a subset has one
+    marginal axis order, and one summation order, however a caller
+    lists it. The mutual-information and total-correlation formulas
+    live here so that every caller shares both the memo and the
+    arithmetic. Their values are sums of grid multiples, so they are
+    exact, and are not clamped: a clamp would break the entropy
+    identity that makes every rooting of a k-tree score the same.
     """
 
-    __slots__ = ("source", "_memo")
+    __slots__ = ("source", "_labels", "_bits", "_memo")
 
     def __init__(self, source):
+        if isinstance(source, JointTable):
+            labels = tuple(sorted(source.variables))
+        elif isinstance(source, SampleMatrix):
+            labels = tuple(range(source.n))
+        else:
+            raise TypeError(f"unsupported source type {type(source).__name__}")
         self.source = source
+        self._labels = labels
+        self._bits = {v: 1 << i for i, v in enumerate(labels)}
         self._memo = {}
 
-    def __call__(self, variables) -> float:
-        key = tuple(sorted(variables))
-        h = self._memo.get(key)
+    def mask(self, variables) -> int:
+        """Bitmask of a tuple of distinct source variables; any other
+        tuple raises the kernel's error for it."""
+        bits = [self._bits.get(v) for v in variables]
+        if None in bits or len(set(bits)) < len(bits):
+            entropy(self.source, tuple(sorted(variables)))
+        return sum(bits)
+
+    def __call__(self, mask) -> float:
+        """Joint entropy of the variables in mask, in bits."""
+        h = self._memo.get(mask)
         if h is None:
+            key = tuple(map(self._labels.__getitem__, iter_bits(mask)))
             # looked up as a module global, so a wrapper bound to
             # information.entropy sees exactly the kernel calls
-            h = self._memo[key] = round(entropy(self.source, key) * _GRID) / _GRID
+            h = self._memo[mask] = round(entropy(self.source, key) * _GRID) / _GRID
         return h
 
+    def information(self, xmask: int, ymask: int) -> float:
+        """I(X ; Y) in bits between the disjoint variable sets of two
+        masks. Rounding can put a zero one grid step below 0."""
+        return self(xmask) + self(ymask) - self(xmask | ymask)
+
+    def correlation(self, mask: int) -> float:
+        """Sum of the marginal entropies of the variables in mask minus
+        their joint entropy, in bits."""
+        return sum(self(1 << i) for i in iter_bits(mask)) - self(mask)
+
     def mutual_information(self, x: int, ys) -> float:
-        """I(x ; ys) in bits, zero when ys is empty. Rounding can put
-        a zero one grid step below 0."""
+        """I(x ; ys) in bits, zero when ys is empty."""
         ys = tuple(ys)
         if x in ys:
             raise ValueError(f"variable {x} on both sides")
         if not ys:
             return 0.0
-        return self((x,)) + self(ys) - self((x,) + ys)
+        return self.information(self.mask((x,)), self.mask(ys))
 
     def total_correlation(self, variables) -> float:
         """Sum of marginal entropies minus the joint entropy, in bits."""
-        vs = tuple(variables)
-        return sum(self((v,)) for v in vs) - self(vs)
+        return self.correlation(self.mask(tuple(variables)))
 
 
 def mutual_information(source, x: int, ys) -> float:
@@ -338,17 +373,20 @@ class MutualInformationOracle(ScoreOracle):
         self.g = g
         self._entropies = _Entropies(source)
 
+    # the host's vertices are the source's variables 0..n-1, so a vertex
+    # mask is the memo's variable mask
     def score(self, pivot, base):
-        bset = frozenset(base)
-        if pivot in bset or not self.g.is_clique(sorted(bset | {pivot})):
+        bmask = mask_of(base)
+        pbit = 1 << pivot
+        if bmask & pbit or not mask_is_clique(self.g.adj, bmask | pbit):
             return None
-        return self._entropies.mutual_information(pivot, bset)
+        return self._entropies.information(pbit, bmask)
 
     def root_score(self, clique):
-        members = tuple(sorted(clique))
-        if not self.g.is_clique(members):
+        mask = mask_of(clique)
+        if mask.bit_count() != len(clique) or not mask_is_clique(self.g.adj, mask):
             return None
-        return self._entropies.total_correlation(members)
+        return self._entropies.correlation(mask)
 
 
 class WeightProductOracle(ScoreOracle):
@@ -503,9 +541,12 @@ def markov_ktree_distribution(t: KTree, source) -> JointTable:
         scope = tuple(sorted(base + (v,)))
         joint = np.moveaxis(_marginal_array(source, scope), scope.index(v), -1)
         ctx = joint.sum(axis=-1, keepdims=True)
-        cond = np.where(ctx > 0,
-                        joint / np.where(ctx > 0, ctx, 1.0),
-                        _marginal_array(source, (v,)))
+        seen = ctx > 0
+        if seen.all():
+            cond = joint / ctx
+        else:
+            cond = np.where(seen, joint / np.where(seen, ctx, 1.0),
+                            _marginal_array(source, (v,)))
         tables[v] = ConditionalTable(v, base, cond)
     return tables_to_joint(t, tables)
 
@@ -594,7 +635,16 @@ def tables_to_joint(t: KTree, tables) -> JointTable:
 
 
 def sample_markov_ktree(t: KTree, tables, m: int, seed=None) -> SampleMatrix:
-    """Draw m joint samples by walking the creation order."""
+    """Draw m joint samples by walking the creation order.
+
+    Each vertex takes one uniform draw u per row, in creation order. Its
+    symbol is the first s whose cumulative probability P(v <= s | row's
+    context) exceeds u, counted as the number of cumulative thresholds
+    at or below u: the thresholds of each context come from one cumsum
+    of its table row, gathered per symbol by the rows' context codes. A
+    count of a, where rounding leaves a row summing just under 1 and u
+    lies above its last threshold, gives symbol 0.
+    """
     if m < 1:
         raise ValueError("need at least one sample")
     sizes = _check_tables(t, tables)
@@ -604,13 +654,16 @@ def sample_markov_ktree(t: KTree, tables, m: int, seed=None) -> SampleMatrix:
     for v, base in t.creation_order:
         ct = tables[v]
         a = ct.probs.shape[-1]
-        flat = ct.probs.reshape(-1, a)
+        thresholds = ct.probs.reshape(-1, a).cumsum(axis=1)
+        u = rng.random(m)
+        column = out[:, v]
         if ct.parents:
             psizes = tuple(sizes[p] for p in ct.parents)
-            rows = flat[_cell_codes([out[:, p] for p in ct.parents], psizes)]
+            codes = _cell_codes([out[:, p] for p in ct.parents], psizes)
+            for s in range(a):
+                column += thresholds[:, s].take(codes) <= u
         else:
-            rows = np.broadcast_to(flat[0], (m, a))
-        u = rng.random((m, 1))
-        out[:, v] = (rows.cumsum(axis=1) > u).argmax(axis=1)
+            column += np.searchsorted(thresholds[0], u, side="right")
+        column[column == a] = 0
     out.flags.writeable = False  # read-only, so SampleMatrix keeps it uncopied
     return SampleMatrix(out, tuple(sizes[v] for v in range(t.n)))

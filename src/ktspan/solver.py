@@ -267,12 +267,18 @@ class _DPSolver:
         root has a defined score."""
         n, k = self.n, self.k
         oracle = self.oracle
-        roots = iter_cliques(self.gadj, k + 1)
         if oracle.root_invariant:
             # every retaining k-tree has a clique holding this edge, and
-            # every root of a k-tree gives it the same score
+            # every root of a k-tree gives it the same score. The cliques
+            # holding it are the edge plus a (k-1)-clique of its ends'
+            # common neighbors; adding the same two vertices to each
+            # keeps the lexicographic order iter_cliques lists them in
             u, v = min(self.h.edges)
-            roots = (c for c in roots if u in c and v in c)
+            common = self.gadj[u] & self.gadj[v]
+            rest = iter_cliques(self.gadj, k - 1, common) if k > 1 else [()]
+            roots = (tuple(sorted((u, v, *c))) for c in rest)
+        else:
+            roots = iter_cliques(self.gadj, k + 1)
         best = None
         best_members = None
         for members in roots:

@@ -299,13 +299,18 @@ BAD_CELLS = ["a", "1.0", "1.5", "1#x", "0x1", "", " ", "-1", "999999999999999999
 
 
 def spaced(cells, style):
-    """Join integer cells with commas, with spaces around them by style."""
+    """Join integer cells with commas, with whitespace around them by
+    style; styles 4 and 5 put line breaks there, which only keys hold."""
     if style == 0:
         return ", ".join(cells)
     if style == 1:
         return " " + ",".join(cells) + " "
     if style == 2:
         return ",".join(f" {c}\t" for c in cells)
+    if style == 4:
+        return ",".join(f"\n{c}\r" for c in cells)
+    if style == 5:
+        return "\r\n" + ",".join(cells) + "\n"
     return ",".join(cells)
 
 
@@ -364,7 +369,7 @@ def random_joint_obj(rng, clean=False):
         items = list(zip(keys, mass.tolist()))
         rng.shuffle(items)
     else:
-        styles = rng.integers(4, size=len(kept))
+        styles = rng.integers(6, size=len(kept))
         items = [(spaced([str(x) for x in c], style), float(p))
                  for c, style, p in zip(kept, styles, mass)]
         rng.shuffle(items)
@@ -436,7 +441,7 @@ def test_load_joint_over_several_parse_blocks(tmp_path):
     assert outcome(load_joint, path) == want
 
 
-@pytest.mark.parametrize("key", ["1_0", "١", "\n0", "0\n\n", "0\r1", "+ 1", "", "\n"])
+@pytest.mark.parametrize("key", ["1_0", "١", "0\r1", "0\n1", "+ 1", "", "\n"])
 def test_load_joint_keys_are_ascii_integers(tmp_path, key):
     p = tmp_path / "joint.json"
     p.write_text(json.dumps({"vars": [0], "alphabets": [2], "probs": {key: 1.0}}))
@@ -457,12 +462,21 @@ def test_load_joint_names_the_first_bad_key(tmp_path):
         load_joint(p)
 
 
-@pytest.mark.parametrize("key", ["1\n", "1\r\n", " +1\t"])
+@pytest.mark.parametrize("key", ["1\n", "1\r\n", " +1\t", "\n1", "1\n\n", "\r1"])
 def test_load_joint_allows_whitespace_around_a_key(tmp_path, key):
     p = tmp_path / "joint.json"
     p.write_text(json.dumps({"vars": [0], "alphabets": [2],
                              "probs": {key: 0.75, "0": 0.25}}))
     assert load_joint(p).table.tolist() == [0.25, 0.75]
+
+
+@pytest.mark.parametrize("key", ["\r0,1", "0\r,1", "0\n,1", "0,\r\n1"])
+def test_load_joint_reads_line_breaks_around_an_integer_as_whitespace(tmp_path, key):
+    p = tmp_path / "joint.json"
+    p.write_text(json.dumps({"vars": [0, 1], "alphabets": [2, 2],
+                             "probs": {key: 0.75, "1,1": 0.25}}))
+    assert load_joint(p).table.tolist() == [[0.0, 0.75], [0.0, 0.25]]
+    assert outcome(load_joint, p) == outcome(reference_load_joint, p)
 
 
 def random_samples_text(rng, clean=False):
@@ -601,6 +615,43 @@ def test_grid_near_misses_match_the_per_cell_loops(tmp_path, name):
     p.write_text(json.dumps({"vars": [0, 1, 2], "alphabets": [2, 2, 2],
                              "probs": {key: 1 / len(lines) for key in lines}}))
     assert outcome(load_joint, p) == outcome(reference_load_joint, p)
+
+
+# Sample bodies around the one-pass decode: text mode reads "\r\n" and
+# "\r" as newlines, so those two files are grids, while the other
+# separators str.splitlines would break at stay inside a line, and
+# strip() drops them only at a line's ends.
+SAMPLE_BODIES = {
+    "crlf": ("0,1\r\n1,0\r\n", True),
+    "cr": ("0,1\r1,0\r", True),
+    "blank-first": ("\n\n0,1\n1,0\n", False),
+    "blank-last": ("0,1\n1,0\n\n\n", False),
+    "blank-both": ("\r\n0,1\n1,0\n\r\n", False),
+    "no-final-newline": ("0,1\n1,0", False),
+    "no-final-newline-two-digits": ("0,1\n1,01", False),
+    "double-width-row-inside": ("0,1\n1,0,0,1\n0,1\n", False),
+    "vt-end": ("0,1\x0b\n1,0\n", False),
+    "ff-start": ("\x0c0,1\n1,0\n", False),
+    "fs-end": ("0,1\x1c\n1,0\n", False),
+    "nel-start": ("0,1\n\x851,0\n", False),
+    "vt-inside": ("0,1\x0b1,0\n", False),
+    "ff-inside": ("0,1\x0c1,0\n", False),
+    "fs-inside": ("0,1\x1c1,0\n", False),
+    "nel-inside": ("0,1\x851,0\n", False),
+    "ls-inside": ("0,1\u20281,0\n", False),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLE_BODIES)
+def test_sample_bodies_match_the_per_cell_loop(tmp_path, monkeypatch, name):
+    body, grid = SAMPLE_BODIES[name]
+    seen = digit_grid_results(monkeypatch)
+    p = tmp_path / "s.csv"
+    p.write_bytes(("x0,x1\n" + body).encode())
+    want = outcome(reference_load_samples, p)
+    assert outcome(load_samples, p) == want
+    assert (seen[0] is not None) == grid
+    assert isinstance(want[0], type) == name.endswith("-inside")
 
 
 def test_non_ascii_digits_are_refused_in_a_grid(tmp_path):

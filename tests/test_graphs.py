@@ -62,10 +62,13 @@ def test_iter_cliques_matches_the_subset_scan():
     graphs += [gnp_graph(int(rng.integers(1, 12)), float(rng.random()), rng)
                for _ in range(200)]
     for g in graphs:
+        within = int(rng.integers(1 << g.n))
         for s in range(1, 5):
             scan = [c for c in itertools.combinations(range(g.n), s)
                     if g.is_clique(c)]
             assert list(iter_cliques(g.adj, s)) == scan
+            inside = [c for c in scan if mask_of(c) & within == mask_of(c)]
+            assert list(iter_cliques(g.adj, s, within)) == inside
     with pytest.raises(ValueError):
         iter_cliques([0, 0], 0)
 

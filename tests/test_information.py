@@ -352,6 +352,46 @@ def test_markov_distribution_zero_context_falls_back():
     assert pg.table.min() >= 0
 
 
+def reference_projection(t, source):
+    """markov_ktree_distribution as it read when every vertex computed
+    its fallback marginal, empty contexts or not."""
+    tables = {}
+    for v, base in t.creation_order:
+        scope = tuple(sorted(base + (v,)))
+        joint = np.moveaxis(information._marginal_array(source, scope), scope.index(v), -1)
+        ctx = joint.sum(axis=-1, keepdims=True)
+        cond = np.where(ctx > 0, joint / np.where(ctx > 0, ctx, 1.0),
+                        information._marginal_array(source, (v,)))
+        tables[v] = ConditionalTable(v, base, cond)
+    return tables_to_joint(t, tables)
+
+
+def test_projection_computes_fallback_marginals_only_for_empty_contexts(monkeypatch):
+    rng = np.random.default_rng(29)
+    calls = []
+    kernel = information._marginal_array
+    monkeypatch.setattr(information, "_marginal_array",
+                        lambda source, vs: calls.append(vs) or kernel(source, vs))
+    fallbacks = 0
+    for seed in range(12):
+        t = random_ktree(6, 1 + seed % 3, rng)
+        sizes = tuple(int(a) for a in rng.integers(2, 4, size=6))
+        dense = random_joint_table(sizes, rng)
+        sparse = SampleMatrix(rng.integers(0, 3, size=(int(rng.integers(5, 40)), 6)))
+        for source in (dense, sparse):
+            want = reference_projection(t, source).table
+            calls.clear()
+            got = markov_ktree_distribution(t, source).table
+            assert got.tobytes() == want.tobytes(), seed
+            fallbacks += len(calls) - 6
+        # Dirichlet cells are positive, so no context of the table is
+        # empty: one marginal per vertex
+        calls.clear()
+        markov_ktree_distribution(t, dense)
+        assert len(calls) == 6, seed
+    assert fallbacks > 0
+
+
 def test_markov_distribution_guard():
     order = [(0, ()), (1, (0,))] + [(v, (v - 1,)) for v in range(2, 25)]
     t = KTree.from_creation_order(25, 1, order)
@@ -393,6 +433,12 @@ def test_mi_oracle_forbidden_on_non_cliques():
     full = MutualInformationOracle(p, UndirectedGraph.complete(4))
     assert full.score(0, (1, 2)) is not None
     assert full.root_score((1, 2, 3)) is not None
+    # a repeated vertex, or one past the host, is no clique
+    assert full.score(1, (1, 2)) is None
+    assert full.root_score((1, 1, 2)) is None
+    assert full.score(7, (1, 2)) is None
+    assert full.root_score((1, 2, 4)) is None
+    assert full.score(5, (4, 6)) is None
     holed = UndirectedGraph(4, [e for e in
                                 UndirectedGraph.complete(4).edges
                                 if e != (0, 1)])
@@ -478,6 +524,30 @@ def test_mutual_information_ignores_the_order_of_ys():
             values = {mutual_information(src, x, p)
                       for p in itertools.permutations(ys)}
             assert len(values) == 1
+
+
+@pytest.mark.parametrize("labels", [(-1, 5), (10**6, 5), (7, -3, 10**6)])
+def test_public_scores_on_any_labels_match_rounded_entropies(labels):
+    # the memo's bits come from source positions: keyed by label bits,
+    # -1 would be a negative shift and 10**6 a million-bit mask
+    rng = np.random.default_rng(len(labels))
+    p = JointTable(labels, random_joint_table((2, 3, 2)[:len(labels)], rng).table)
+
+    def h(vs):
+        return round(entropy(p, tuple(sorted(vs))) * 2.0 ** 36) / 2.0 ** 36
+
+    for x in labels:
+        ys = tuple(v for v in labels if v != x)
+        want = max(h((x,)) + h(ys) - h((x,) + ys), 0.0)
+        assert mutual_information(p, x, ys) == want
+        assert mutual_information(p, x, ys[::-1]) == want
+    want = max(sum(h((v,)) for v in sorted(labels)) - h(labels), 0.0)
+    assert total_correlation(p, labels) == want
+    assert total_correlation(p, labels[::-1]) == want
+    with pytest.raises(ValueError, match="variable 4 not in table"):
+        mutual_information(p, labels[0], (4,))
+    with pytest.raises(ValueError, match="repeated variable"):
+        total_correlation(p, (labels[0], labels[0]))
 
 
 def test_explicit_oracle_lookup_and_validation():
@@ -617,3 +687,76 @@ def test_sampling_deterministic_tables():
     }
     s = sample_markov_ktree(t, tables, 50, seed=9)
     assert (s.data == np.array([1, 1, 0])).all()
+
+
+def reference_sample_markov_ktree(t, tables, m, seed=None):
+    """The sampler as it read when each row took the argmax of its
+    cumulative probabilities exceeding u, kept as a reference."""
+    sizes = {v: tables[v].probs.shape[-1] for v, _ in t.creation_order}
+    rng = np.random.default_rng(seed)
+    out = np.zeros((m, t.n), dtype=np.int64, order="F")
+    for v, base in t.creation_order:
+        ct = tables[v]
+        a = ct.probs.shape[-1]
+        flat = ct.probs.reshape(-1, a)
+        if ct.parents:
+            codes = np.ravel_multi_index([out[:, p] for p in ct.parents],
+                                         tuple(sizes[p] for p in ct.parents))
+            rows = flat[codes]
+        else:
+            rows = np.broadcast_to(flat[0], (m, a))
+        u = rng.random((m, 1))
+        out[:, v] = (rows.cumsum(axis=1) > u).argmax(axis=1)
+    return out
+
+
+class EdgeDraws(np.random.Generator):
+    """A generator whose uniform draws hit the edges of the sampler's
+    thresholds: every fourth draw is the largest double below 1 and
+    every fourth 0.25, 0.5 or 0.75, which dyadic rows sum to exactly."""
+
+    def random(self, size=None):
+        u = super().random(size)
+        flat = u.reshape(-1)
+        flat[::4] = np.nextafter(1.0, 0.0)
+        flat[1::4] = self.choice([0.25, 0.5, 0.75], size=flat[1::4].size)
+        return u
+
+
+def edge_conditionals(t, sizes, rng):
+    """Dirichlet conditionals where some rows sum to just under 1 and
+    some are dyadic, so cumulative sums land exactly on a draw."""
+    tables = random_conditionals(t, sizes, rng)
+    for v, ct in tables.items():
+        rows = ct.probs.reshape(-1, ct.probs.shape[-1]).copy()
+        a = rows.shape[1]
+        for row in rows:
+            kind = rng.integers(3)
+            if kind == 0:
+                row[-1] -= min(row[-1], 5e-10)
+            elif kind == 1 and a in (2, 4):
+                row[:] = rng.permutation([0.5, 0.5] if a == 2 else [0.25, 0.25, 0.5, 0.0])
+        tables[v] = ConditionalTable(v, ct.parents, rows.reshape(ct.probs.shape))
+    return tables
+
+
+@pytest.mark.parametrize("first_seed", [0, 30])
+def test_sampler_matches_the_argmax_reference(first_seed):
+    for seed in range(first_seed, first_seed + 30):
+        rng = np.random.default_rng([seed, 19])
+        n = int(rng.integers(1, 9))
+        k = int(rng.integers(1, n + 1))
+        t = random_ktree(n, k, rng)
+        sizes = tuple(int(a) for a in rng.integers(2, 12, size=n))
+        # parent contexts stay below 4,096, as random_conditionals
+        # builds every row of each table
+        while any(math.prod(sizes[p] for p in base) > 4096
+                  for _, base in t.creation_order):
+            sizes = tuple(max(2, a // 2) for a in sizes)
+        m = int(rng.integers(1, 400))
+        tables = edge_conditionals(t, sizes, rng)
+        got = sample_markov_ktree(t, tables, m, seed=seed)
+        assert np.array_equal(got.data, reference_sample_markov_ktree(t, tables, m, seed)), seed
+        draws = lambda: EdgeDraws(np.random.PCG64(seed))
+        got = sample_markov_ktree(t, tables, m, seed=draws())
+        assert np.array_equal(got.data, reference_sample_markov_ktree(t, tables, m, draws())), seed

@@ -552,6 +552,36 @@ def test_root_invariant_sweep_keeps_the_smallest_backbone_edge():
     assert res.ktree.root_clique == smallest_clique(res.ktree)
 
 
+class ZeroRootLog(ScoreOracle):
+    """A root-invariant oracle scoring everything 0 that logs the roots
+    it scores."""
+
+    root_invariant = True
+
+    def __init__(self):
+        self.roots = []
+
+    def score(self, pivot, base):
+        return 0.0
+
+    def root_score(self, clique):
+        self.roots.append(tuple(clique))
+        return 0.0
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_root_invariant_sweep_lists_the_cliques_on_the_smallest_edge_in_order(seed):
+    rng = np.random.default_rng([seed, 31])
+    n = int(rng.integers(6, 14))
+    k = 1 + seed % 4
+    h = relabelled(random_backbone(n, 3, rng), rng)
+    g = random_host_graph(h, float(rng.choice([0.3, 0.6, 1.0])), rng)
+    oracle = ZeroRootLog()
+    solver_mod._DPSolver(g, h, k, oracle).sweep()
+    u, v = min(h.edges)
+    assert oracle.roots == [c for c in iter_cliques(g.adj, k + 1) if u in c and v in c]
+
+
 @pytest.mark.parametrize("seed", range(9))
 def test_weight_products_match_brute(seed):
     n = 6 + seed % 3
