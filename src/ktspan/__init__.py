@@ -1,7 +1,6 @@
 """Backbone-retaining maximum-score k-tree toolkit."""
 
 from .errors import (
-    InconsistentPartitionError,
     InfeasibleError,
     InstanceTooLargeError,
     KtspanError,
@@ -21,7 +20,7 @@ from .graphs import (
     validate_backbone,
     validate_ktree,
 )
-from .separation import component_count_bound, components_masks
+from .separation import components_masks
 from .information import (
     ConditionalTable,
     ExplicitScoreOracle,

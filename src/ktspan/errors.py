@@ -18,14 +18,5 @@ class InstanceTooLargeError(KtspanError):
     """Instance exceeds a hard safety bound for an exhaustive routine."""
 
 
-class InconsistentPartitionError(KtspanError):
-    """A child separator fails to partition its assigned region.
-
-    Raised when the components hanging off a candidate clique do not
-    exactly cover the region they were supposed to split. Indicates a
-    malformed state transition, not bad user input.
-    """
-
-
 class NotRetainingError(KtspanError):
     """A k-tree does not contain every edge of the required backbone."""

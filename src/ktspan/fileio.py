@@ -26,7 +26,6 @@ import numpy as np
 from .errors import InstanceTooLargeError
 from .graphs import BackboneTree, KTree, UndirectedGraph, normalize_edge
 from .information import MAX_TABLE_CELLS, ExplicitScoreOracle, JointTable, SampleMatrix
-from .solver import SolveResult
 
 # Lines per whole-array pass. Parsing a 65,536-key joint in one pass
 # raised peak RSS by about 6 MB; 8,192-line blocks by about 0.1 MB.
@@ -114,13 +113,21 @@ def _int_rows(lines):
 
     A single-digit grid is decoded from its bytes, any other lines by
     np.loadtxt. Returns None when numpy refuses the lines or warns
-    about them (a block holding only empty lines). '#' starts no
-    comment. A line holding a newline can come back as more than one
-    row, so callers check the row count.
+    about them (a block holding only empty lines), or when they hold
+    a non-ASCII character that is not whitespace, which numpy's parser
+    may read as a digit ("\u01ff" as 463). '#' starts no comment. A
+    line holding a newline can come back as more than one row, so
+    callers check the row count.
     """
-    rows = _digit_grid("\n".join([*lines, ""]))
+    text = "\n".join([*lines, ""])
+    rows = _digit_grid(text)
     if rows is not None:
         return rows
+    if not text.isascii():
+        spaces = {ord(c): " " for c in set(text) if c.isspace() and not c.isascii()}
+        lines = [line.translate(spaces) for line in lines]
+        if not all(map(str.isascii, lines)):
+            return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -358,8 +365,8 @@ def save_ktree(path, t: KTree):
     _dump_json(path, _ktree_json_obj(t))
 
 
-def save_result(path, result: SolveResult, oracle):
-    """Write a solve result; per-clique scores come from the oracle."""
+def save_result(path, result, oracle):
+    """Write a solver.SolveResult; per-clique scores come from the oracle."""
     t = result.ktree
     scores = [oracle.score(w, base) for w, base in t.creation_order[t.k + 1:]]
     obj = _ktree_json_obj(t, scores)
@@ -381,8 +388,7 @@ def load_result_ktree(path):
         raise ValueError(f'{path}: "k" must be at least 1')
     if len(root) != k + 1:
         raise ValueError(f"{path}: root must list {k + 1} vertices")
-    order = [(v, tuple(root[:j])) for j, v in enumerate(root[:k])]
-    order.append((root[k], tuple(root[:k])))
+    order = [(v, tuple(root[:j])) for j, v in enumerate(root)]
     cliques = _require(obj, "cliques", path)
     if not isinstance(cliques, list) or not all(isinstance(c, dict) for c in cliques):
         raise ValueError(f'{path}: "cliques" must be a list of objects')

@@ -441,7 +441,6 @@ def reroot(t: KTree, root) -> KTree:
             degree[u] -= 1
             if degree[u] == t.k and not rmask >> u & 1:
                 heapq.heappush(ready, u)
-    order = [(v, root[:j]) for j, v in enumerate(root[:t.k])]
-    order.append((root[t.k], root[:t.k]))
+    order = [(v, root[:j]) for j, v in enumerate(root)]
     order.extend(reversed(strips))
     return KTree(t.n, t.k, t.edges, order)

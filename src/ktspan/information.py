@@ -186,8 +186,6 @@ def _marginal_array(source, variables):
         kept_sorted = sorted(keep)
         return marg.transpose([kept_sorted.index(i) for i in keep])
     if isinstance(source, SampleMatrix):
-        if source.m == 0:
-            raise ValueError("no samples")
         for v in vs:
             if not 0 <= v < source.n:
                 raise ValueError(f"variable {v} out of range")
@@ -281,32 +279,26 @@ class _Entropies:
         their joint entropy, in bits."""
         return sum(self(1 << i) for i in iter_bits(mask)) - self(mask)
 
-    def mutual_information(self, x: int, ys) -> float:
-        """I(x ; ys) in bits, zero when ys is empty."""
-        ys = tuple(ys)
-        if x in ys:
-            raise ValueError(f"variable {x} on both sides")
-        if not ys:
-            return 0.0
-        return self.information(self.mask((x,)), self.mask(ys))
-
-    def total_correlation(self, variables) -> float:
-        """Sum of marginal entropies minus the joint entropy, in bits."""
-        return self.correlation(self.mask(tuple(variables)))
-
 
 def mutual_information(source, x: int, ys) -> float:
     """I(x ; ys) in bits, zero when ys is empty: the score
     MutualInformationOracle gives, a multiple of 2**-36, clamped at zero
     so it is never negative. The same for every order of ys."""
-    return max(_Entropies(source).mutual_information(x, ys), 0.0)
+    entropies = _Entropies(source)
+    ys = tuple(ys)
+    if x in ys:
+        raise ValueError(f"variable {x} on both sides")
+    if not ys:
+        return 0.0
+    return max(entropies.information(entropies.mask((x,)), entropies.mask(ys)), 0.0)
 
 
 def total_correlation(source, variables) -> float:
     """Sum of marginal entropies minus the joint entropy, in bits: the
     root score MutualInformationOracle gives, a multiple of 2**-36,
     clamped at zero so it is never negative."""
-    return max(_Entropies(source).total_correlation(variables), 0.0)
+    entropies = _Entropies(source)
+    return max(entropies.correlation(entropies.mask(tuple(variables))), 0.0)
 
 
 class ScoreOracle:
@@ -657,13 +649,12 @@ def sample_markov_ktree(t: KTree, tables, m: int, seed=None) -> SampleMatrix:
         thresholds = ct.probs.reshape(-1, a).cumsum(axis=1)
         u = rng.random(m)
         column = out[:, v]
+        codes = 0  # the one context of a parentless vertex
         if ct.parents:
             psizes = tuple(sizes[p] for p in ct.parents)
             codes = _cell_codes([out[:, p] for p in ct.parents], psizes)
-            for s in range(a):
-                column += thresholds[:, s].take(codes) <= u
-        else:
-            column += np.searchsorted(thresholds[0], u, side="right")
+        for s in range(a):
+            column += thresholds[:, s].take(codes) <= u
         column[column == a] = 0
     out.flags.writeable = False  # read-only, so SampleMatrix keeps it uncopied
     return SampleMatrix(out, tuple(sizes[v] for v in range(t.n)))

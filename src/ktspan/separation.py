@@ -3,26 +3,17 @@
 Removing a candidate clique from the backbone leaves a forest. Each
 connected component is a region the construction must still cover, and
 is named by its smallest vertex. A state's region is a union of such
-components; region_components splits it back into them.
-Bounded backbone degree caps how many regions a separator can create,
-which is what keeps the search state space polynomial. Components are
-read off the subtree masks of the backbone rooted at vertex 0, so
-splitting at a separator costs a number of mask operations bounded by
-its size and the backbone degree, not by n.
+components; region_components splits it back into them. Both raise
+ValueError on malformed input. Bounded backbone degree caps how many
+regions a separator can create, which is what keeps the search state
+space polynomial. Components are read off the subtree masks of the
+backbone rooted at vertex 0, so splitting at a separator costs a number
+of mask operations bounded by its size and the backbone degree, not by n.
 """
 
 from __future__ import annotations
 
-from .errors import InconsistentPartitionError
 from .graphs import BackboneTree, iter_bits
-
-
-def component_count_bound(degree_bound: int, k: int) -> int:
-    """Most components removing k+1 vertices can leave in a tree of
-    maximum degree degree_bound."""
-    if degree_bound < 1 or k < 1:
-        raise ValueError("need degree_bound >= 1 and k >= 1")
-    return degree_bound * (k + 1) - k
 
 
 def components_masks(h: BackboneTree, sep_mask: int):
@@ -65,7 +56,7 @@ def region_components(comps, region: int) -> tuple:
     order, and region the backbone vertices its state still has to
     cover. Every component meeting region must lie inside it and
     together they must cover it; anything else means the transition
-    itself was malformed, and the error names the component by its
+    itself was malformed, and the ValueError names the component by its
     smallest vertex.
     """
     parts = []
@@ -77,10 +68,10 @@ def region_components(comps, region: int) -> tuple:
     if covered != region:
         for m in comps:
             if m & region and m & ~region:
-                raise InconsistentPartitionError(
+                raise ValueError(
                     f"component {(m & -m).bit_length() - 1} "
                     f"{tuple(iter_bits(m))} straddles the region boundary")
-        raise InconsistentPartitionError(
+        raise ValueError(
             f"region vertices {tuple(iter_bits(region & ~covered))} are "
             f"unreachable")
     return tuple(parts)

@@ -6,7 +6,7 @@ branch may absorb several components at once: the k-tree under
 construction is free to bridge backbone components with its own edges,
 so the branch hanging off a clique covers some union of them. A table
 state splits its region's components into covers, at most 2^(c-1) of
-them where c is component_count_bound, and attaches each cover by one
+them where c is the number of components, and attaches each cover by one
 branch. A branch drops a vertex x of the clique that has no backbone
 edge into its cover and adds a pivot w from the cover; the pivot's
 score and the child state (base plus w, cover minus w) depend only on
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import InconsistentPartitionError, InfeasibleError, InstanceTooLargeError
+from .errors import InfeasibleError, InstanceTooLargeError
 from .graphs import (
     BackboneTree,
     KTree,
@@ -45,7 +45,7 @@ from .graphs import (
     validate_backbone,
 )
 from .information import ScoreOracle, _Entropies, _check_source
-from .separation import component_count_bound, components_masks, region_components
+from .separation import components_masks, region_components
 
 _MISSING = object()
 
@@ -104,7 +104,6 @@ class _DPSolver:
         self.n = g.n
         self.gadj = g.adj
         self.hadj = h.adj
-        self._bound = component_count_bound(max(h.max_degree(), 1), k)
         # score-memo keys pack (base mask, pivot) with the pivot in the
         # low bits, which must hold every vertex id
         self._pshift = self.n.bit_length()
@@ -122,9 +121,6 @@ class _DPSolver:
         comps = self._cliques.get(cmask)
         if comps is None:
             comps = tuple(m for _, m in components_masks(self.h, cmask))
-            if len(comps) > self._bound:
-                raise InconsistentPartitionError(
-                    f"{len(comps)} backbone components exceed bound {self._bound}")
             if len(comps) > _MAX_COMPONENTS:
                 raise InstanceTooLargeError(
                     f"clique {tuple(iter_bits(cmask))} splits the backbone into "
@@ -302,9 +298,8 @@ class _DPSolver:
         return None if best is None else self._emit(best_members)
 
     def _emit(self, members):
-        n, k = self.n, self.k
-        order = [(v, members[:j]) for j, v in enumerate(members[:k])]
-        order.append((members[k], members[:k]))
+        n = self.n
+        order = [(v, members[:j]) for j, v in enumerate(members)]
         rmask = mask_of(members)
         # depth first, each branch's subtree before the next cover of
         # its parent state: the child goes on top of the parent's rest.
@@ -546,7 +541,7 @@ def chow_liu(source) -> KTree:
     if n < 2:
         raise ValueError("need at least 2 variables")
     entropies = _Entropies(source)
-    pairs = sorted((-entropies.mutual_information(u, (v,)), u, v)
+    pairs = sorted((-entropies.information(1 << u, 1 << v), u, v)
                    for u in range(n) for v in range(u + 1, n))
     parent = list(range(n))
 

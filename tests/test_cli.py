@@ -329,10 +329,13 @@ def test_oversized_sample_marginal_is_a_data_error(tmp_path, capsys, command):
     ("weights", "1", "has wrong arity"),
     ("weights", "0,1_0", "is not comma-separated integers"),
     ("weights", "0,\u0661", "is not comma-separated integers"),
+    ("weights", "\u01ff,1", "is not comma-separated integers"),
+    ("root", "0,\u01fe0\u01fe", "is not comma-separated integers"),
 ])
 def test_non_integer_score_key_names_file_and_key(tmp_path, capsys,
                                                   section, key, message):
-    # int() reads "1_0" as 10 and "\u0661" as 1; keys take ASCII digits only
+    # int() reads "1_0" as 10 and "\u0661" as 1, and numpy's parser
+    # "\u01ff" as 463; keys take ASCII digits only
     graph, scores = GOOD_GRAPH, GOOD_SCORES
     if section == "weights":
         graph, bad = dict(graph, weights={key: 1.0}), "g.json"

@@ -229,7 +229,18 @@ def test_dot_isolated_vertices(tmp_path):
 # Both carry the messages the whole-array loaders give where the loops
 # used to differ: a bare int() error for a non-integer key, and
 # "non-integer" (or a raw OverflowError) for a ragged or int64-overflowing
-# sample row.
+# sample row. A cell is read by cell_int, not int() alone: int() refuses
+# \x1c-\x1f around a cell, though str.isspace counts them as whitespace,
+# and reads "1_0" and non-ASCII digits.
+
+def cell_int(cell):
+    """The integer of one cell: ASCII digits with an optional sign and
+    str.isspace whitespace around them."""
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an integer cell: {cell!r}")
+    return int(text)
+
 
 def reference_load_joint(path):
     obj = json.loads(path.read_text())
@@ -237,7 +248,7 @@ def reference_load_joint(path):
     table = np.zeros(tuple(alphabets))
     for key, p in probs.items():
         try:
-            idx = tuple(int(x) for x in key.split(","))
+            idx = tuple(cell_int(x) for x in key.split(","))
         except ValueError:
             raise ValueError(
                 f"{path}: assignment {key!r} is not comma-separated integers") from None
@@ -261,7 +272,7 @@ def reference_load_samples(path):
     if any(len(row.split(",")) != len(cols) for row in rows):
         raise ValueError(f"{path}: row width disagrees with header")
     try:
-        data = np.array([[int(x) for x in row.split(",")] for row in rows],
+        data = np.array([[cell_int(x) for x in row.split(",")] for row in rows],
                         dtype=np.int64)
     except (ValueError, OverflowError):
         raise ValueError(f"{path}: non-integer cell in sample rows") from None
@@ -295,18 +306,25 @@ def outcome(load, path):
     return got.data.shape, got.data.tolist(), got.alphabet_sizes
 
 
-BAD_CELLS = ["a", "1.0", "1.5", "1#x", "0x1", "", " ", "-1", "99999999999999999999"]
+BAD_CELLS = ["a", "1.0", "1.5", "1#x", "0x1", "", " ", "-1", "99999999999999999999",
+             "\u01ff", "\u01fe0\u01fe"]
+
+# whitespace drawn around cells: str.isspace characters, among them the
+# ones int() refuses (\x1c-\x1f) and non-ASCII ones
+PADS = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0"]
 
 
-def spaced(cells, style):
+def spaced(cells, style, rng):
     """Join integer cells with commas, with whitespace around them by
-    style; styles 4 and 5 put line breaks there, which only keys hold."""
+    style; style 2 draws it from PADS, and styles 4 and 5 put line
+    breaks there, which only keys hold."""
     if style == 0:
         return ", ".join(cells)
     if style == 1:
         return " " + ",".join(cells) + " "
     if style == 2:
-        return ",".join(f" {c}\t" for c in cells)
+        pads = rng.choice(PADS, size=(len(cells), 2))
+        return ",".join(f"{a}{c}{b}" for c, (a, b) in zip(cells, pads))
     if style == 4:
         return ",".join(f"\n{c}\r" for c in cells)
     if style == 5:
@@ -370,7 +388,7 @@ def random_joint_obj(rng, clean=False):
         rng.shuffle(items)
     else:
         styles = rng.integers(6, size=len(kept))
-        items = [(spaced([str(x) for x in c], style), float(p))
+        items = [(spaced([str(x) for x in c], style, rng), float(p))
                  for c, style, p in zip(kept, styles, mass)]
         rng.shuffle(items)
         if rng.random() < 0.2:
@@ -462,7 +480,8 @@ def test_load_joint_names_the_first_bad_key(tmp_path):
         load_joint(p)
 
 
-@pytest.mark.parametrize("key", ["1\n", "1\r\n", " +1\t", "\n1", "1\n\n", "\r1"])
+@pytest.mark.parametrize("key", ["1\n", "1\r\n", " +1\t", "\n1", "1\n\n", "\r1",
+                                 "\u20031", "1\u3000", "\x851\xa0"])
 def test_load_joint_allows_whitespace_around_a_key(tmp_path, key):
     p = tmp_path / "joint.json"
     p.write_text(json.dumps({"vars": [0], "alphabets": [2],
@@ -489,7 +508,7 @@ def random_samples_text(rng, clean=False):
     if clean:
         lines = grid_near_miss([",".join(map(str, row)) for row in data], rng)
     else:
-        lines = [spaced([str(x) for x in row], style)
+        lines = [spaced([str(x) for x in row], style, rng)
                  for row, style in zip(data, rng.integers(4, size=len(data)))]
         for _ in range(int(rng.integers(3))):
             lines.insert(int(rng.integers(len(lines) + 1)), rng.choice(["", "  ", "\t"]))
@@ -539,6 +558,8 @@ def test_save_samples_over_several_blocks(tmp_path):
     ("x0,x1\na,1\n", "non-integer cell in sample rows"),
     ("x0,x1\n0,1#x\n", "non-integer cell in sample rows"),
     ("x0,x1\n0,99999999999999999999\n", "non-integer cell in sample rows"),
+    ("x0,x1\n1,\u01ff\n", "non-integer cell in sample rows"),
+    ("x0,x1\n0,1\n\u01fe0\u01fe,1\n", "non-integer cell in sample rows"),
 ])
 def test_sample_row_errors(tmp_path, text, message):
     p = tmp_path / "s.csv"
@@ -639,6 +660,7 @@ SAMPLE_BODIES = {
     "fs-inside": ("0,1\x1c1,0\n", False),
     "nel-inside": ("0,1\x851,0\n", False),
     "ls-inside": ("0,1\u20281,0\n", False),
+    "em-space-around-cells": ("0,\u20031\n1\u3000,\xa00\n", False),
 }
 
 
@@ -655,7 +677,7 @@ def test_sample_bodies_match_the_per_cell_loop(tmp_path, monkeypatch, name):
 
 
 def test_non_ascii_digits_are_refused_in_a_grid(tmp_path):
-    # int() reads "١" as 1, so the per-cell loops are no reference here
+    # int() alone reads "١" as 1; a grid row holding it goes to numpy's parser
     p = tmp_path / "s.csv"
     p.write_text("x0,x1\n0,1\n١,0\n", encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{p}: non-integer cell in sample rows")):

@@ -550,6 +550,66 @@ def test_public_scores_on_any_labels_match_rounded_entropies(labels):
         total_correlation(p, (labels[0], labels[0]))
 
 
+@pytest.mark.parametrize("kind", ["joint", "samples"])
+def test_public_scores_check_their_variables(kind):
+    rng = np.random.default_rng(27)
+    if kind == "joint":
+        src = random_joint_table((2, 3, 2, 2), rng)
+        unknown = "variable 7 not in table"
+    else:
+        src = SampleMatrix(rng.integers(0, 3, size=(200, 4)))
+        unknown = "variable 7 out of range"
+    with pytest.raises(ValueError, match="variable 1 on both sides"):
+        mutual_information(src, 1, (0, 1))
+    # the both-sides check comes before the empty-ys and unknown-variable cases
+    with pytest.raises(ValueError, match="variable 7 on both sides"):
+        mutual_information(src, 7, (7,))
+    for x, ys in ((7, (0,)), (0, (1, 7))):
+        with pytest.raises(ValueError, match=unknown):
+            mutual_information(src, x, ys)
+    with pytest.raises(ValueError, match="repeated variable"):
+        mutual_information(src, 0, (2, 2))
+    with pytest.raises(ValueError, match=unknown):
+        total_correlation(src, (0, 7))
+    with pytest.raises(ValueError, match="repeated variable"):
+        total_correlation(src, (1, 3, 1))
+    for x in range(4):
+        assert mutual_information(src, x, ()) == 0.0
+        assert mutual_information(src, x, iter(())) == 0.0
+        assert total_correlation(src, (x,)) == 0.0
+    assert total_correlation(src, ()) == 0.0
+    assert total_correlation(src, iter((0, 1, 2))) == total_correlation(src, (0, 1, 2))
+
+
+# chow_liu's trees on seeded sources, pinned when its pair scores came
+# from a label-keyed copy of the mutual-information formula; the
+# independent columns have every pair score near zero
+CHOW_LIU_TREES = [
+    (lambda: gen_instance(8, 2, 3, 400, 1)["samples"],
+     ((0, ()), (2, (0,)), (4, (0,)), (6, (0,)), (7, (0,)), (1, (4,)), (3, (4,)),
+      (5, (3,)))),
+    (lambda: gen_instance(8, 2, 3, 400, 2)["samples"],
+     ((0, ()), (1, (0,)), (3, (0,)), (2, (1,)), (7, (1,)), (4, (3,)), (6, (3,)),
+      (5, (7,)))),
+    (lambda: gen_instance(8, 2, 3, 400, 3)["samples"],
+     ((0, ()), (1, (0,)), (3, (0,)), (4, (0,)), (2, (1,)), (5, (1,)), (6, (2,)),
+      (7, (5,)))),
+    (lambda: SampleMatrix(np.random.default_rng(4).integers(0, 3, size=(200, 6))),
+     ((0, ()), (5, (0,)), (2, (5,)), (1, (2,)), (3, (1,)), (4, (3,)))),
+    (lambda: JointTable((3, 1, 0, 4, 2), random_joint_table(
+        (2, 3, 2, 2, 3), np.random.default_rng(5)).table),
+     ((0, ()), (2, (0,)), (1, (2,)), (3, (1,)), (4, (1,)))),
+]
+
+
+@pytest.mark.parametrize("case", range(len(CHOW_LIU_TREES)))
+def test_chow_liu_trees_are_pinned(case):
+    make, order = CHOW_LIU_TREES[case]
+    t = chow_liu(make())
+    assert t.creation_order == order
+    assert t.edges == {tuple(sorted((v, base[0]))) for v, base in order[1:]}
+
+
 def test_explicit_oracle_lookup_and_validation():
     oracle = ExplicitScoreOracle(
         2, {(0, 1, 2): 5.0}, {(3, (1, 2)): 7.0})

@@ -13,7 +13,6 @@ PUBLIC_NAMES = [
     "ConditionalTable",
     "ExplicitScoreOracle",
     "HMsktInstance",
-    "InconsistentPartitionError",
     "InfeasibleError",
     "InstanceTooLargeError",
     "JointTable",
@@ -32,7 +31,6 @@ PUBLIC_NAMES = [
     "brute_min_kl",
     "build_tree_decomposition",
     "chow_liu",
-    "component_count_bound",
     "components_masks",
     "decide_kclique",
     "entropy",

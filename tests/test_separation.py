@@ -1,4 +1,4 @@
-"""Backbone separation: components, their bound, and how a child
+"""Backbone separation: components, their count, and how a child
 separator partitions the region its branch enters."""
 
 import itertools
@@ -6,8 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ktspan import BackboneTree, component_count_bound, path_backbone
-from ktspan.errors import InconsistentPartitionError
+from ktspan import BackboneTree, path_backbone
 from ktspan.generate import random_backbone
 from ktspan.graphs import iter_bits, mask_of
 from ktspan.separation import components_masks, region_components
@@ -16,16 +15,6 @@ from ktspan.separation import components_masks, region_components
 def star5():
     # center 2 over vertices 0..4
     return BackboneTree(5, [(0, 2), (1, 2), (2, 3), (2, 4)], 4)
-
-
-def test_component_count_bound_values():
-    assert component_count_bound(2, 2) == 4
-    assert component_count_bound(1, 1) == 1
-    assert component_count_bound(3, 3) == 9
-    with pytest.raises(ValueError):
-        component_count_bound(0, 2)
-    with pytest.raises(ValueError):
-        component_count_bound(2, 0)
 
 
 def components(h, sep):
@@ -161,14 +150,14 @@ def test_region_components_straddle_is_rejected():
     # star center 0: dropping the center strands its far leaves, the
     # resulting component crosses the region boundary
     h = BackboneTree(5, [(0, 1), (0, 2), (0, 3), (0, 4)], 4)
-    with pytest.raises(InconsistentPartitionError, match="straddles"):
+    with pytest.raises(ValueError, match="straddles"):
         child_ids(h, (1, 2, 3), {3, 4}, 3)
 
 
 def test_region_components_unreachable_region_is_rejected():
     # the region names a separator vertex, which no component holds
     h = path_backbone(5)
-    with pytest.raises(InconsistentPartitionError, match=r"\(2,\) are unreachable"):
+    with pytest.raises(ValueError, match=r"\(2,\) are unreachable"):
         child_ids(h, (1, 2), {2, 3, 4, 0}, 0)
 
 
@@ -181,6 +170,8 @@ def test_separation_bound_random_trees():
         h = random_backbone(n, d, rng)
         sep = [int(v) for v in rng.choice(n, size=k + 1, replace=False)]
         comps = [c for _, c in components(h, sep)]
-        assert len(comps) <= component_count_bound(d, k)
+        # removing k+1 vertices from a tree leaves 1 - (k+1) plus their
+        # degrees minus the edges among them, at most d(k+1) - k
+        assert len(comps) <= d * (k + 1) - k
         # components partition the leftover vertices
         assert set().union(*comps) == set(range(n)) - set(sep)
