@@ -206,7 +206,7 @@ def main(argv=None) -> int:
     except InfeasibleError as ex:
         print(str(ex), file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, KtspanError) as ex:
+    except (ValueError, OSError, KtspanError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
 

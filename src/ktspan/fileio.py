@@ -31,6 +31,10 @@ from .information import MAX_TABLE_CELLS, ExplicitScoreOracle, JointTable, Sampl
 # raised peak RSS by about 6 MB; 8,192-line blocks by about 0.1 MB.
 _BLOCK_LINES = 8192
 
+# most vertices a graph file may declare; per-vertex bitmasks grow with
+# n, so a larger "n" is refused before anything is sized by it
+_MAX_VERTICES = 1 << 14
+
 # an integer cell too wide for int64 parses once its digits are zeroed
 _ZERO_DIGITS = str.maketrans("123456789", "000000000")
 
@@ -193,11 +197,15 @@ def _int_key_items(path, mapping, width, **kwargs):
 def load_graph(path):
     """Read a graph file; returns (UndirectedGraph, BackboneTree | None).
 
-    A backbone without an explicit degree_bound gets its actual maximum
+    An "n" above 16,384 vertices raises InstanceTooLargeError. A
+    backbone without an explicit degree_bound gets its actual maximum
     degree as the bound.
     """
     obj = _load_json(path)
     n = _integer(_require(obj, "n", path), "n", path)
+    if n > _MAX_VERTICES:
+        raise InstanceTooLargeError(
+            f'{path}: "n" is {n}, above the vertex limit {_MAX_VERTICES}')
     edges = _edge_list(_require(obj, "edges", path), "edges", path)
     weights = None
     if obj.get("weights") is not None:
@@ -235,10 +243,12 @@ def _pivot_line(key):
 
 def load_scores(path, n) -> ExplicitScoreOracle:
     """Read explicit score tables for a graph on n vertices; absent
-    entries mean forbidden, and a key naming a vertex outside 0..n-1 is
-    an error."""
+    entries mean forbidden, and a "k" outside 1..n-1 or a key naming a
+    vertex outside 0..n-1 is an error."""
     obj = _load_json(path)
     k = _integer(_require(obj, "k", path), "k", path)
+    if not 1 <= k < n:
+        raise ValueError(f'{path}: "k" must satisfy 1 <= k < n, got k={k}, n={n}')
     bounds = (n,) * (k + 1)
     root = {tuple(c): float(s) for c, s in _int_key_items(
         path, _number_map(obj.get("root", {}), "root", path), k + 1,

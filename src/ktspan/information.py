@@ -281,16 +281,18 @@ class _Entropies:
 
 
 def mutual_information(source, x: int, ys) -> float:
-    """I(x ; ys) in bits, zero when ys is empty: the score
-    MutualInformationOracle gives, a multiple of 2**-36, clamped at zero
-    so it is never negative. The same for every order of ys."""
+    """I(x ; ys) in bits, zero when ys is empty (x is checked either
+    way): the score MutualInformationOracle gives, a multiple of 2**-36,
+    clamped at zero so it is never negative. The same for every order
+    of ys."""
     entropies = _Entropies(source)
     ys = tuple(ys)
     if x in ys:
         raise ValueError(f"variable {x} on both sides")
+    xmask = entropies.mask((x,))
     if not ys:
         return 0.0
-    return max(entropies.information(entropies.mask((x,)), entropies.mask(ys)), 0.0)
+    return max(entropies.information(xmask, entropies.mask(ys)), 0.0)
 
 
 def total_correlation(source, variables) -> float:

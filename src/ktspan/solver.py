@@ -20,11 +20,14 @@ integer-packed keys and one value per state keep the tables cheap: no
 choice is stored, and the traceback runs the frame of each of the
 n - k - 1 winning states again, which reads every child off the memo,
 to recover its choice and build the creation order. Per clique only its
-component masks are kept. k = 1 skips the DP: the backbone is the
-only retaining spanning 1-tree, and one walk over its clique tree
-scores every root. Either search hands back a creation order, and one
-function turns it into the result: it reports infeasibility, applies
-the root-invariant reroot and rescores along the final order.
+component masks are kept, cut from those of its base, the clique minus
+its largest vertex; a base's are cut the same way from a smaller set's,
+down to the empty set, and kept too, at most n + C(n, 2) + ... + C(n, k)
+of them. k = 1 skips the DP: the backbone is the only retaining
+spanning 1-tree, and one walk over its clique tree scores every root.
+Either search hands back a creation order, and one function turns it
+into the result: it reports infeasibility, applies the root-invariant
+reroot and rescores along the final order.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .graphs import (
     validate_backbone,
 )
 from .information import ScoreOracle, _Entropies, _check_source
-from .separation import components_masks, region_components
+from .separation import cut_components, region_components
 
 _MISSING = object()
 
@@ -82,9 +85,10 @@ class _DPSolver:
     (clique << n) | region and holds the best total below the state.
     _based keys base states on (base << n) | cover and holds (best,
     pivot): the pivot breaks the drop tie of every clique reaching the
-    base. _scores keys oracle scores on (base << shift) | pivot, and
+    base. _scores keys oracle scores on (base << shift) | pivot,
     _cliques holds each reached clique's backbone components, as a tuple
-    of masks. No choice is stored: _solve_frame keeps its winning
+    of masks, and _prefixes the components of the vertex sets they are
+    cut from. No choice is stored: _solve_frame keeps its winning
     (cover, pivot, drop) in locals and reports it only when the
     traceback asks, and the traceback runs the frame of each winning
     state again, which after a sweep finds every child in the memo.
@@ -107,25 +111,38 @@ class _DPSolver:
         # score-memo keys pack (base mask, pivot) with the pivot in the
         # low bits, which must hold every vertex id
         self._pshift = self.n.bit_length()
-        # per clique mask its backbone components, and the cover index
-        # tuples per part count; region masks are too many to keep
+        # per clique mask its backbone components, per mask of at most k
+        # vertices the components they leave (the empty set leaves the
+        # whole tree), and the cover index tuples per part count; region
+        # masks are too many to keep
         self._cliques = {}
+        self._prefixes = {0: ((1 << self.n) - 1,)}
         self._cover_cache = {}
         self._table = {}
         self._based = {}
         self._scores = {}
 
     def _components(self, cmask):
-        """Backbone components of a clique, as masks ascending by
-        smallest vertex."""
-        comps = self._cliques.get(cmask)
+        """Backbone components of a clique not yet in _cliques, as masks
+        ascending by smallest vertex: those of the clique minus its
+        largest vertex, cut at that vertex."""
+        x = cmask.bit_length() - 1
+        comps = cut_components(self.h, self._prefix(cmask ^ (1 << x)), x)
+        if len(comps) > _MAX_COMPONENTS:
+            raise InstanceTooLargeError(
+                f"clique {tuple(iter_bits(cmask))} splits the backbone into "
+                f"{len(comps)} components (limit {_MAX_COMPONENTS})")
+        self._cliques[cmask] = comps
+        return comps
+
+    def _prefix(self, mask):
+        """Backbone components left by the vertices of mask, cut one
+        vertex at a time, largest last, and kept in _prefixes."""
+        comps = self._prefixes.get(mask)
         if comps is None:
-            comps = tuple(m for _, m in components_masks(self.h, cmask))
-            if len(comps) > _MAX_COMPONENTS:
-                raise InstanceTooLargeError(
-                    f"clique {tuple(iter_bits(cmask))} splits the backbone into "
-                    f"{len(comps)} components (limit {_MAX_COMPONENTS})")
-            self._cliques[cmask] = comps
+            x = mask.bit_length() - 1
+            comps = self._prefixes[mask] = cut_components(
+                self.h, self._prefix(mask ^ (1 << x)), x)
         return comps
 
     def _covers(self, count):
@@ -151,7 +168,8 @@ class _DPSolver:
         hadj = self.hadj
         n = self.n
         key = cmask << n
-        parts = region_components(self._components(cmask), region)
+        parts = region_components(
+            self._cliques.get(cmask) or self._components(cmask), region)
         best = None
         for idxs in self._covers(len(parts)):
             cover = 0

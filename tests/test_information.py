@@ -564,7 +564,7 @@ def test_public_scores_check_their_variables(kind):
     # the both-sides check comes before the empty-ys and unknown-variable cases
     with pytest.raises(ValueError, match="variable 7 on both sides"):
         mutual_information(src, 7, (7,))
-    for x, ys in ((7, (0,)), (0, (1, 7))):
+    for x, ys in ((7, (0,)), (0, (1, 7)), (7, ())):
         with pytest.raises(ValueError, match=unknown):
             mutual_information(src, x, ys)
     with pytest.raises(ValueError, match="repeated variable"):

@@ -47,6 +47,7 @@ from ktspan.information import (
     materialize_scores,
 )
 from ktspan.solver import rescore_result
+from test_separation import bfs_components
 
 
 def relabelled(h, rng):
@@ -216,7 +217,7 @@ def sparse_ktree_plus_chords_instance():
 def test_dp_state_counts_are_pinned(instance, sizes):
     # one table state per (clique, region), one base state per
     # (base, cover), one oracle call per (base, pivot) reached and one
-    # components_masks call per distinct clique; the traceback replays
+    # component split per distinct clique; the traceback replays
     # the winning frames off the memo and fills nothing
     s = solver_mod._DPSolver(*instance())
     counts = lambda: (len(s._table), len(s._based), len(s._scores),
@@ -232,6 +233,46 @@ def test_dp_state_counts_are_pinned(instance, sizes):
     assert s.sweep() is not None
     assert before == [sizes]
     assert counts() == sizes
+
+
+SHAPES = ("path", "degree3", "star")
+
+
+def backbone_of_shape(shape, n, rng):
+    if shape == "path":
+        return path_backbone(n)
+    if shape == "degree3":
+        return random_backbone(n, 3, rng)
+    return BackboneTree(n, [(0, v) for v in range(1, n)])
+
+
+@pytest.mark.parametrize("relabel", [False, True], ids=["plain", "relabelled"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_clique_components_match_bfs(shape, relabel):
+    # every clique a sweep reaches has its components cut from its
+    # base's; each must equal the breadth-first split of the backbone
+    # minus the clique, masks ascending by smallest vertex
+    rng = np.random.default_rng([52, SHAPES.index(shape), int(relabel)])
+    for k in range(1, 5):
+        for complete in (True, False):
+            # a star's centre splits off a component per other vertex,
+            # and a clique's states grow about 3x per component
+            n = (7 if shape == "star" else 11) + (0 if complete else 4)
+            h = backbone_of_shape(shape, n, rng)
+            if relabel:
+                h = relabelled(h, rng)
+            if complete:
+                g = UndirectedGraph.complete(n)
+            else:
+                t = random_retaining_ktree(h, k, rng)
+                g = UndirectedGraph(n, set(t.edges) | set(gnp_graph(n, 0.15, rng).edges))
+            s = solver_mod._DPSolver(g, h, k, random_explicit_scores(g, k, rng))
+            assert s.sweep() is not None
+            assert s._cliques
+            for cmask, comps in list(s._cliques.items()):
+                want = tuple(m for _, m in bfs_components(h, cmask))
+                assert comps == want
+                assert s._components(cmask) == want
 
 
 def all_ties(h):
