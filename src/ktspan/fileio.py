@@ -198,8 +198,8 @@ def load_graph(path):
     """Read a graph file; returns (UndirectedGraph, BackboneTree | None).
 
     An "n" above 16,384 vertices raises InstanceTooLargeError. A
-    backbone without an explicit degree_bound gets its actual maximum
-    degree as the bound.
+    backbone without an explicit degree_bound keeps degree_bound None:
+    any degree is allowed.
     """
     obj = _load_json(path)
     n = _integer(_require(obj, "n", path), "n", path)
@@ -218,8 +218,6 @@ def load_graph(path):
         h = BackboneTree(n, _edge_list(obj["backbone"], "backbone", path),
                          _integer(bound, "degree_bound", path)
                          if bound is not None else None)
-        if h.degree_bound is None:
-            h = BackboneTree(n, h.edges, h.max_degree())
     return g, h
 
 

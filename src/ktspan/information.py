@@ -401,9 +401,13 @@ class WeightProductOracle(ScoreOracle):
         self.g = g
 
     def _clique_product(self, members):
+        # sorted members give every pair as its normalized edge key
+        weights = self.g.weights
         prod = 1.0
         for u, v in itertools.combinations(sorted(members), 2):
-            w = self.g.weight(u, v)
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            w = weights.get((u, v))
             if w is None:
                 return None
             prod *= w

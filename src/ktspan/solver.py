@@ -19,12 +19,13 @@ degree a state costs the same at any n. Bitmask cliques,
 integer-packed keys and one value per state keep the tables cheap: no
 choice is stored, and the traceback runs the frame of each of the
 n - k - 1 winning states again, which reads every child off the memo,
-to recover its choice and build the creation order. Per clique only its
-component masks are kept, cut from those of its base, the clique minus
-its largest vertex; a base's are cut the same way from a smaller set's,
-down to the empty set, and kept too, at most n + C(n, 2) + ... + C(n, k)
-of them. k = 1 skips the DP: the backbone is the only retaining
-spanning 1-tree, and one walk over its clique tree scores every root.
+to recover its choice and build the creation order. One memo keeps the
+component masks of every clique reached and of each prefix they are cut
+from: a set's components are cut from those of the set minus its
+largest vertex, down to the empty set, so besides the cliques it holds
+at most n + C(n, 2) + ... + C(n, k) sets. k = 1 skips the DP: the
+backbone is the only retaining spanning 1-tree, and one walk over its
+clique tree scores every root.
 Either search hands back a creation order, and one function turns it
 into the result: it reports infeasibility, applies the root-invariant
 reroot and rescores along the final order.
@@ -85,11 +86,11 @@ class _DPSolver:
     (clique << n) | region and holds the best total below the state.
     _based keys base states on (base << n) | cover and holds (best,
     pivot): the pivot breaks the drop tie of every clique reaching the
-    base. _scores keys oracle scores on (base << shift) | pivot,
-    _cliques holds each reached clique's backbone components, as a tuple
-    of masks, and _prefixes the components of the vertex sets they are
-    cut from. No choice is stored: _solve_frame keeps its winning
-    (cover, pivot, drop) in locals and reports it only when the
+    base. _scores keys oracle scores on (base << shift) | pivot, and
+    _splits keys on a vertex mask the backbone components it leaves, as
+    a tuple of masks: every reached clique's, and those of each prefix
+    they are cut from. No choice is stored: _solve_frame keeps its
+    winning (cover, pivot, drop) in locals and reports it only when the
     traceback asks, and the traceback runs the frame of each winning
     state again, which after a sweep finds every child in the memo.
     _solve_frame and _base_frame are generators that run as frames on
@@ -111,38 +112,24 @@ class _DPSolver:
         # score-memo keys pack (base mask, pivot) with the pivot in the
         # low bits, which must hold every vertex id
         self._pshift = self.n.bit_length()
-        # per clique mask its backbone components, per mask of at most k
-        # vertices the components they leave (the empty set leaves the
-        # whole tree), and the cover index tuples per part count; region
-        # masks are too many to keep
-        self._cliques = {}
-        self._prefixes = {0: ((1 << self.n) - 1,)}
+        # per clique mask and per prefix of one the backbone components
+        # it leaves (the empty set leaves the whole tree), and the cover
+        # index tuples per part count; region masks are too many to keep
+        self._splits = {0: ((1 << self.n) - 1,)}
         self._cover_cache = {}
         self._table = {}
         self._based = {}
         self._scores = {}
 
-    def _components(self, cmask):
-        """Backbone components of a clique not yet in _cliques, as masks
-        ascending by smallest vertex: those of the clique minus its
-        largest vertex, cut at that vertex."""
-        x = cmask.bit_length() - 1
-        comps = cut_components(self.h, self._prefix(cmask ^ (1 << x)), x)
-        if len(comps) > _MAX_COMPONENTS:
-            raise InstanceTooLargeError(
-                f"clique {tuple(iter_bits(cmask))} splits the backbone into "
-                f"{len(comps)} components (limit {_MAX_COMPONENTS})")
-        self._cliques[cmask] = comps
-        return comps
-
-    def _prefix(self, mask):
-        """Backbone components left by the vertices of mask, cut one
-        vertex at a time, largest last, and kept in _prefixes."""
-        comps = self._prefixes.get(mask)
+    def _split(self, mask):
+        """Backbone components left by the vertices of mask, as masks
+        ascending by smallest vertex: those of mask minus its largest
+        vertex, cut at that vertex, and kept in _splits."""
+        comps = self._splits.get(mask)
         if comps is None:
             x = mask.bit_length() - 1
-            comps = self._prefixes[mask] = cut_components(
-                self.h, self._prefix(mask ^ (1 << x)), x)
+            comps = self._splits[mask] = cut_components(
+                self.h, self._split(mask ^ (1 << x)), x)
         return comps
 
     def _covers(self, count):
@@ -168,8 +155,17 @@ class _DPSolver:
         hadj = self.hadj
         n = self.n
         key = cmask << n
-        parts = region_components(
-            self._cliques.get(cmask) or self._components(cmask), region)
+        comps = self._splits.get(cmask)
+        if comps is None:
+            comps = self._split(cmask)
+            # only a clique is capped: cutting a vertex that is a
+            # component on its own lowers the count, so a prefix may
+            # leave more components than its clique
+            if len(comps) > _MAX_COMPONENTS:
+                raise InstanceTooLargeError(
+                    f"clique {tuple(iter_bits(cmask))} splits the backbone "
+                    f"into {len(comps)} components (limit {_MAX_COMPONENTS})")
+        parts = region_components(comps, region)
         best = None
         for idxs in self._covers(len(parts)):
             cover = 0

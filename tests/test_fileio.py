@@ -13,6 +13,7 @@ from ktspan import (
     UndirectedGraph,
     path_backbone,
     solve_retaining_mskt,
+    validate_backbone,
 )
 from ktspan import fileio
 from ktspan.errors import InstanceTooLargeError
@@ -61,13 +62,14 @@ def test_graph_without_weights_or_backbone(tmp_path):
     assert set(g.edges) == {(0, 1)}
 
 
-def test_backbone_degree_bound_defaults_to_max_degree(tmp_path):
+def test_backbone_without_degree_bound_stays_unbounded(tmp_path):
     p = tmp_path / "g.json"
     obj = {"n": 4, "edges": [[0, 1], [0, 2], [0, 3]],
            "backbone": [[0, 1], [0, 2], [0, 3]]}
     p.write_text(json.dumps(obj))
-    _, h = load_graph(p)
-    assert h.degree_bound == 3
+    g, h = load_graph(p)
+    assert h.degree_bound is None
+    assert validate_backbone(g, h) is None
 
 
 def test_graph_missing_key_message(tmp_path):

@@ -670,6 +670,25 @@ def test_explicit_oracle_detects_root_invariant_tables(k):
     assert not invariant(roots, {**pivots, key: pivots[key] + 2.0 ** -36})
 
 
+def test_weight_product_oracle_edge_cases():
+    # a weighted triangle 0, 1, 2 and vertex 3 hanging off vertex 2
+    g = UndirectedGraph(4, [(0, 1), (0, 2), (1, 2), (2, 3)],
+                        {(0, 1): 2.0, (0, 2): 3.0, (1, 2): 5.0, (2, 3): 7.0})
+    oracle = WeightProductOracle(g)
+    assert oracle.root_score((2, 0, 1)) == 30.0
+    assert oracle.score(2, (1, 0)) == oracle.score(0, (2, 1)) == 30.0
+    assert oracle.score(3, (2,)) == 7.0
+    # a non-edge makes the clique forbidden
+    assert oracle.root_score((0, 1, 3)) is None
+    assert oracle.score(3, (0, 2)) is None
+    # so does a pivot inside its own base
+    assert oracle.score(1, (0, 1)) is None
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 0$"):
+        oracle.root_score((0, 1, 0))
+    with pytest.raises(ValueError, match="carries no edge weights"):
+        WeightProductOracle(UndirectedGraph(3, [(0, 1), (1, 2)]))
+
+
 def test_explicit_oracle_invariance_needs_exact_sums():
     # 4 vertices times the largest value must stay within 2**17
     assert uniform_tables(4, 2, 2.0 ** 15).root_invariant

@@ -9,6 +9,7 @@ import pytest
 from ktspan import (
     BackboneTree,
     InfeasibleError,
+    InstanceTooLargeError,
     KTree,
     MutualInformationOracle,
     NotRetainingError,
@@ -219,9 +220,10 @@ def test_dp_state_counts_are_pinned(instance, sizes):
     # (base, cover), one oracle call per (base, pivot) reached and one
     # component split per distinct clique; the traceback replays
     # the winning frames off the memo and fills nothing
-    s = solver_mod._DPSolver(*instance())
+    g, h, k, oracle = instance()
+    s = solver_mod._DPSolver(g, h, k, oracle)
     counts = lambda: (len(s._table), len(s._based), len(s._scores),
-                      len(s._cliques))
+                      sum(m.bit_count() == k + 1 for m in s._splits))
     before = []
     emit = s._emit
 
@@ -266,13 +268,64 @@ def test_clique_components_match_bfs(shape, relabel):
             else:
                 t = random_retaining_ktree(h, k, rng)
                 g = UndirectedGraph(n, set(t.edges) | set(gnp_graph(n, 0.15, rng).edges))
-            s = solver_mod._DPSolver(g, h, k, random_explicit_scores(g, k, rng))
+            oracle = random_explicit_scores(g, k, rng)
+            s = solver_mod._DPSolver(g, h, k, oracle)
             assert s.sweep() is not None
-            assert s._cliques
-            for cmask, comps in list(s._cliques.items()):
-                want = tuple(m for _, m in bfs_components(h, cmask))
-                assert comps == want
-                assert s._components(cmask) == want
+            cliques = [m for m in s._splits if m.bit_count() == k + 1]
+            assert cliques
+            for mask, comps in s._splits.items():
+                assert comps == tuple(m for _, m in bfs_components(h, mask))
+            # the memo holds the reached cliques and their prefixes, each
+            # set minus its largest vertex, and nothing else; a fresh
+            # solver cuts a clique through exactly its own prefixes
+            kept = {0}
+            for cmask in cliques:
+                fresh = solver_mod._DPSolver(g, h, k, oracle)
+                assert fresh._split(cmask) == s._splits[cmask]
+                assert set(fresh._splits) == set(prefixes(cmask))
+                kept.update(fresh._splits)
+            assert set(s._splits) == kept
+
+
+def prefixes(mask):
+    """mask and each set left by taking its largest vertex off, down to
+    the empty set."""
+    out = [mask]
+    while mask:
+        mask ^= 1 << (mask.bit_length() - 1)
+        out.append(mask)
+    return out
+
+
+class RootsOnly(ScoreOracle):
+    """Every root scores 1; a pivot score fails the test, since asking
+    for one means a search has started filling a state."""
+
+    root_invariant = True
+
+    def root_score(self, clique):
+        return 1.0
+
+    def score(self, pivot, base):
+        raise AssertionError(f"pivot {pivot} scored on base {base}")
+
+
+def test_star_in_fan_clique_is_refused_before_its_states():
+    # the star backbone in a fan host at n = 20: every triangle is
+    # (0, v, v + 1), and the first root (0, 1, 2) splits the star into 17
+    # components, one above the cap. Its prefixes (0, 1) and (0,) leave
+    # 18 and 19, which the cap does not read: only cliques are capped
+    n = 20
+    h = BackboneTree(n, [(0, v) for v in range(1, n)])
+    g = UndirectedGraph(n, set(h.edges) | {(v, v + 1) for v in range(1, n - 1)})
+    s = solver_mod._DPSolver(g, h, 2, RootsOnly())
+    with pytest.raises(InstanceTooLargeError) as exc:
+        s.sweep()
+    assert str(exc.value) == (
+        "clique (0, 1, 2) splits the backbone into 17 components (limit 16)")
+    assert [len(s._splits[m]) for m in prefixes(0b111)] == [17, 18, 19, 1]
+    assert not any(key >> n == 0b111 for key in s._table)
+    assert not s._based
 
 
 def all_ties(h):
