@@ -48,6 +48,14 @@ def _print_root(members):
     print("root " + ",".join(map(str, members)))
 
 
+def _load_scores(args, n):
+    """The --scores file's tables, which must be for the requested k."""
+    oracle = fileio.load_scores(args.scores, n)
+    if oracle.k != args.k:
+        raise ValueError(f"score file is for k={oracle.k}, requested k={args.k}")
+    return oracle
+
+
 def cmd_fit(args) -> int:
     samples = fileio.load_samples(args.samples)
     g, _ = fileio.load_graph(args.graph)
@@ -63,9 +71,7 @@ def cmd_solve(args) -> int:
     if h is None:
         raise ValueError(f'{args.graph} is missing the "backbone" key')
     if args.scores is not None:
-        oracle = fileio.load_scores(args.scores, g.n)
-        if oracle.k != args.k:
-            raise ValueError(f"score file is for k={oracle.k}, requested k={args.k}")
+        oracle = _load_scores(args, g.n)
     else:
         samples = fileio.load_samples(args.samples)
         if samples.n != g.n:
@@ -107,9 +113,7 @@ def cmd_oracle(args) -> int:
         # a bad score file fails before the enumeration prints anything
         if h is None:
             raise ValueError(f'{args.graph} is missing the "backbone" key')
-        oracle = fileio.load_scores(args.scores, g.n)
-        if oracle.k != args.k:
-            raise ValueError(f"score file is for k={oracle.k}, requested k={args.k}")
+        oracle = _load_scores(args, g.n)
     ktrees = enumerate_retaining_ktrees(g, h, args.k)
     print(f"instances {len(ktrees)}")
     if oracle is not None:

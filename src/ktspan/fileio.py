@@ -24,16 +24,12 @@ import warnings
 import numpy as np
 
 from .errors import InstanceTooLargeError
-from .graphs import BackboneTree, KTree, UndirectedGraph, normalize_edge
+from .graphs import MAX_VERTICES, BackboneTree, KTree, UndirectedGraph, normalize_edge
 from .information import MAX_TABLE_CELLS, ExplicitScoreOracle, JointTable, SampleMatrix
 
 # Lines per whole-array pass. Parsing a 65,536-key joint in one pass
 # raised peak RSS by about 6 MB; 8,192-line blocks by about 0.1 MB.
 _BLOCK_LINES = 8192
-
-# most vertices a graph file may declare; per-vertex bitmasks grow with
-# n, so a larger "n" is refused before anything is sized by it
-_MAX_VERTICES = 1 << 14
 
 # an integer cell too wide for int64 parses once its digits are zeroed
 _ZERO_DIGITS = str.maketrans("123456789", "000000000")
@@ -203,9 +199,9 @@ def load_graph(path):
     """
     obj = _load_json(path)
     n = _integer(_require(obj, "n", path), "n", path)
-    if n > _MAX_VERTICES:
+    if n > MAX_VERTICES:
         raise InstanceTooLargeError(
-            f'{path}: "n" is {n}, above the vertex limit {_MAX_VERTICES}')
+            f'{path}: "n" is {n}, above the vertex limit {MAX_VERTICES}')
     edges = _edge_list(_require(obj, "edges", path), "edges", path)
     weights = None
     if obj.get("weights") is not None:

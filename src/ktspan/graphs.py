@@ -13,7 +13,11 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import NotRetainingError
+from .errors import InstanceTooLargeError, NotRetainingError
+
+# most vertices a graph may have; per-vertex bitmasks grow with n, so a
+# larger n is refused before anything is sized by it
+MAX_VERTICES = 1 << 14
 
 
 def normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -102,7 +106,8 @@ class UndirectedGraph:
     """Simple undirected graph with optional finite edge weights.
 
     Adjacency is kept as one bitmask per vertex; the solvers lean on
-    that for fast neighborhood intersections.
+    that for fast neighborhood intersections. An n above MAX_VERTICES
+    raises InstanceTooLargeError before the edges are read.
     """
 
     __slots__ = ("n", "edges", "weights", "adj")
@@ -110,6 +115,9 @@ class UndirectedGraph:
     def __init__(self, n: int, edges, weights=None):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        if n > MAX_VERTICES:
+            raise InstanceTooLargeError(
+                f"n={n} is above the vertex limit {MAX_VERTICES}")
         self.n = n
         self.edges = frozenset(normalize_edge(u, v) for u, v in edges)
         for u, v in self.edges:
@@ -130,49 +138,36 @@ class UndirectedGraph:
                 wnorm[e] = w
             self.weights = wnorm
 
-    @classmethod
-    def complete(cls, n: int, weights=None) -> "UndirectedGraph":
-        return cls(n, itertools.combinations(range(n), 2), weights)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return normalize_edge(u, v) in self.edges
+    @staticmethod
+    def complete(n: int, weights=None) -> "UndirectedGraph":
+        # lazy pairs: combinations would build a tuple of range(n) before
+        # the constructor checks n
+        pairs = ((u, v) for u in range(n) for v in range(u + 1, n))
+        return UndirectedGraph(n, pairs, weights)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(iter_bits(self.adj[v]))
 
     def is_clique(self, vertices) -> bool:
         vs = tuple(vertices)
         mask = mask_of(vs)
         return mask.bit_count() == len(vs) and mask_is_clique(self.adj, mask)
 
-    def weight(self, u: int, v: int):
-        """Weight of the edge, or None when absent or unweighted."""
-        if self.weights is None:
-            return None
-        return self.weights.get(normalize_edge(u, v))
 
-
-class BackboneTree:
-    """Spanning tree whose edges the k-tree is required to keep.
+class BackboneTree(UndirectedGraph):
+    """Spanning tree whose edges the k-tree is required to keep; an
+    unweighted UndirectedGraph.
 
     degree_bound is the largest vertex degree the tree may use, None
     means unbounded. The constructor only checks vertex ranges; use
     validate_backbone to verify tree shape against a host graph.
     """
 
-    __slots__ = ("n", "edges", "degree_bound", "adj", "_subtrees")
+    __slots__ = ("degree_bound", "_subtrees")
 
     def __init__(self, n: int, edges, degree_bound=None):
-        self.n = n
-        self.edges = frozenset(normalize_edge(u, v) for u, v in edges)
-        for u, v in self.edges:
-            if u < 0 or v >= n:
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        super().__init__(n, edges)
         self.degree_bound = degree_bound
-        self.adj = _adjacency(n, self.edges)
         self._subtrees = None
 
     def subtree_masks(self) -> tuple:
@@ -205,15 +200,6 @@ class BackboneTree:
                 sub[parent[v]] |= sub[v]
             self._subtrees = tuple(sub)
         return self._subtrees
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(iter_bits(self.adj[v]))
-
-    def max_degree(self) -> int:
-        return max((self.degree(v) for v in range(self.n)), default=0)
 
 
 def path_backbone(n: int, degree_bound: int = 2) -> BackboneTree:

@@ -23,10 +23,6 @@ from __future__ import annotations
 from .graphs import BackboneTree, iter_bits
 
 
-def _low(mask):
-    return mask & -mask
-
-
 def cut_components(h: BackboneTree, comps, x: int) -> tuple:
     """The components comps leaves once vertex x is removed as well.
 
@@ -53,19 +49,20 @@ def cut_components(h: BackboneTree, comps, x: int) -> tuple:
         out.append(up)
     for c in iter_bits(h.adj[x] & below & comp):
         out.append(comp & sub[c])
-    out.sort(key=_low)
+    out.sort(key=lambda m: m & -m)
     return tuple(out)
 
 
-def components_masks(h: BackboneTree, sep_mask: int):
+def components_masks(h: BackboneTree, sep_mask: int) -> tuple:
     """Connected components of the backbone tree h after deleting the
     vertices of sep_mask, as bitmasks.
 
-    Returns a list of (min_vertex, component_mask) pairs ascending by
-    min_vertex. h must be a spanning tree and sep_mask a set of its
-    vertices: ValueError names the problem otherwise. The components are
-    the whole tree cut at each separator vertex in turn, so a call costs
-    O((k+1) * (degree + components)) mask operations whatever n is.
+    Returns the masks ascending by smallest vertex as a tuple, the
+    format cut_components takes and returns. h must be a spanning tree
+    and sep_mask a set of its vertices: ValueError names the problem
+    otherwise. The components are the whole tree cut at each separator
+    vertex in turn, so a call costs O((k+1) * (degree + components))
+    mask operations whatever n is.
     """
     h.subtree_masks()  # a non-tree fails here even with no separator
     if sep_mask >> h.n:
@@ -73,7 +70,7 @@ def components_masks(h: BackboneTree, sep_mask: int):
     comps = ((1 << h.n) - 1,)
     for s in iter_bits(sep_mask):
         comps = cut_components(h, comps, s)
-    return [(_low(m).bit_length() - 1, m) for m in comps]
+    return comps
 
 
 def region_components(comps, region: int) -> tuple:

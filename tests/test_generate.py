@@ -22,6 +22,7 @@ from ktspan.generate import (
     random_ktree,
     random_retaining_ktree,
 )
+from ktspan.graphs import iter_bits
 
 
 def test_random_backbone_shape():
@@ -32,14 +33,14 @@ def test_random_backbone_shape():
         h = random_backbone(n, bound, rng)
         assert h.n == n
         assert len(h.edges) == n - 1
-        assert h.max_degree() <= bound
+        assert max(map(h.degree, range(n))) <= bound
         assert h.degree_bound == bound
         # connected: every vertex reachable from 0
         seen = {0}
         frontier = [0]
         while frontier:
             v = frontier.pop()
-            for u in h.neighbors(v):
+            for u in iter_bits(h.adj[v]):
                 if u not in seen:
                     seen.add(u)
                     frontier.append(u)

@@ -17,9 +17,9 @@ from ktspan import (
     validate_backbone,
     validate_ktree,
 )
-from ktspan.errors import NotRetainingError
+from ktspan.errors import InstanceTooLargeError, NotRetainingError
 from ktspan.generate import gnp_graph, random_ktree
-from ktspan.graphs import iter_bits, iter_cliques, mask_of, normalize_edge
+from ktspan.graphs import MAX_VERTICES, iter_bits, iter_cliques, mask_of, normalize_edge
 
 
 def tri():
@@ -46,14 +46,43 @@ def test_mask_round_trip():
 
 def test_graph_basics():
     g = UndirectedGraph(4, [(0, 1), (2, 1), (2, 3)])
-    assert g.has_edge(1, 2) and g.has_edge(2, 1)
-    assert not g.has_edge(0, 3)
+    assert g.edges == {(0, 1), (1, 2), (2, 3)}
     assert g.degree(1) == 2
-    assert g.neighbors(2) == (1, 3)
+    assert list(iter_bits(g.adj[2])) == [1, 3]
     assert g.is_clique((0, 1)) and not g.is_clique((0, 1, 2))
     assert UndirectedGraph.complete(5).is_clique(range(5))
     with pytest.raises(ValueError):
         UndirectedGraph(3, [(0, 4)])
+
+
+def test_backbone_is_an_unweighted_graph():
+    h = path_backbone(4)
+    assert isinstance(h, UndirectedGraph) and h.weights is None
+    assert type(BackboneTree.complete(3)) is UndirectedGraph
+    with pytest.raises(ValueError, match=r"edge \(0, 3\) out of range"):
+        BackboneTree(3, [(3, 0)])
+
+
+def edges_never_read():
+    raise AssertionError("edges read before the vertex limit was checked")
+    yield
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: UndirectedGraph(n, edges_never_read()),
+    lambda n: BackboneTree(n, edges_never_read()),
+    UndirectedGraph.complete,
+], ids=["graph", "backbone", "complete"])
+def test_graphs_refuse_more_vertices_than_the_limit(make):
+    # the library refuses what load_graph refuses, before any
+    # per-vertex list is sized by n or any edge is read
+    with pytest.raises(InstanceTooLargeError,
+                       match=f"n={MAX_VERTICES + 1} is above the vertex "
+                             f"limit {MAX_VERTICES}"):
+        make(MAX_VERTICES + 1)
+    with pytest.raises(InstanceTooLargeError):
+        make(1 << 70)
+    assert BackboneTree(MAX_VERTICES, []).n == MAX_VERTICES
 
 
 def test_iter_cliques_matches_the_subset_scan():
@@ -75,9 +104,8 @@ def test_iter_cliques_matches_the_subset_scan():
 
 def test_graph_weights():
     g = UndirectedGraph(3, [(0, 1), (1, 2)], {(1, 0): 2.5, (1, 2): 0.0})
-    assert g.weight(0, 1) == 2.5
-    assert g.weight(2, 1) == 0.0
-    assert UndirectedGraph(3, [(0, 1)]).weight(0, 1) is None
+    assert g.weights == {(0, 1): 2.5, (1, 2): 0.0}
+    assert UndirectedGraph(3, [(0, 1)]).weights is None
     with pytest.raises(ValueError):
         UndirectedGraph(3, [(0, 1)], {(0, 2): 1.0})
 
@@ -303,5 +331,5 @@ def test_path_backbone_shape():
     h = path_backbone(5)
     assert sorted(h.edges) == [(0, 1), (1, 2), (2, 3), (3, 4)]
     assert h.degree_bound == 2
-    assert h.max_degree() == 2
+    assert max(map(h.degree, range(h.n))) == 2
     assert path_backbone(6, 3).degree_bound == 3

@@ -698,11 +698,14 @@ def test_explicit_oracle_invariance_needs_exact_sums():
     assert not uniform_tables(4, 2, 2.0 ** -37).root_invariant
 
 
-@pytest.mark.parametrize("m, n", [(2, 2 ** 17), (3, 2 ** 16), (5, 43691)])
+@pytest.mark.parametrize("m, n", [(129, 2 ** 14), (257, 14564)])
 def test_mi_oracle_refuses_sources_past_the_exact_range(m, n):
-    # n * ceil(log2 m) is at least 2**17 bits here and below it at n - 1
+    # n * ceil(log2 m) is at least 2**17 bits here and below it at n - 1;
+    # a graph has at most 2**14 vertices, so only m above 128 gets there.
+    # A read-only column-major array is not copied
     def oracle(n):
-        data = np.zeros((m, n), dtype=np.int64)
+        data = np.zeros((m, n), dtype=np.int64, order="F")
+        data.flags.writeable = False
         return MutualInformationOracle(SampleMatrix(data), UndirectedGraph(n, []))
 
     with pytest.raises(InstanceTooLargeError, match="exact only below 131072 bits"):

@@ -73,3 +73,43 @@ def test_public_names_match_the_snapshot():
                    if not name.startswith("_")
                    and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
+
+
+# public methods and properties of each public class, inherited ones
+# included; a method that comes or goes has to edit this list
+PUBLIC_MEMBERS = {
+    "BackboneTree": ["complete", "degree", "is_clique", "subtree_masks"],
+    "ConditionalTable": [],
+    "ExplicitScoreOracle": ["root_score", "score"],
+    "HMsktInstance": [],
+    "InfeasibleError": [],
+    "InstanceTooLargeError": [],
+    "JointTable": ["alphabet_sizes", "n"],
+    "KTree": ["from_creation_order", "root_clique"],
+    "KtspanError": [],
+    "MutualInformationOracle": ["root_score", "score"],
+    "NotRetainingError": [],
+    "SampleMatrix": ["m", "n"],
+    "ScoreOracle": ["root_score", "score"],
+    "SolveResult": [],
+    "TreeDecomposition": [],
+    "UndirectedGraph": ["complete", "degree", "is_clique"],
+    "WeightProductOracle": ["root_score", "score"],
+}
+
+_MEMBER_KINDS = (types.FunctionType, classmethod, staticmethod, property)
+
+
+def test_public_members_match_the_snapshot():
+    members = {}
+    for name in PUBLIC_NAMES:
+        value = getattr(ktspan, name)
+        if not isinstance(value, type):
+            continue
+        # the package's own classes only: builtin bases such as
+        # Exception differ between Python versions
+        members[name] = sorted({
+            attr for cls in value.__mro__ if cls.__module__.startswith("ktspan")
+            for attr, obj in vars(cls).items()
+            if not attr.startswith("_") and isinstance(obj, _MEMBER_KINDS)})
+    assert members == PUBLIC_MEMBERS

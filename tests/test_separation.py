@@ -18,37 +18,35 @@ def star5():
 
 
 def components(h, sep):
-    """(id, vertex set) of each component of h minus sep, in the order
+    """Vertex set of each component of h minus sep, in the order
     components_masks lists them."""
-    return [(cid, frozenset(iter_bits(m)))
-            for cid, m in components_masks(h, mask_of(sep))]
+    return [set(iter_bits(m)) for m in components_masks(h, mask_of(sep))]
 
 
 def test_separate_path_interior():
-    assert components(path_backbone(5), (1, 2)) == [(0, {0}), (3, {3, 4})]
+    assert components(path_backbone(5), (1, 2)) == [{0}, {3, 4}]
 
 
 def test_separate_path_endpoints():
-    assert components(path_backbone(5), (0, 4)) == [(1, {1, 2, 3})]
+    assert components(path_backbone(5), (0, 4)) == [{1, 2, 3}]
 
 
 def test_separate_star_center():
-    assert components(star5(), (2, 0)) == [(1, {1}), (3, {3}), (4, {4})]
+    assert components(star5(), (2, 0)) == [{1}, {3}, {4}]
 
 
 def test_components_masks_named_by_minimum():
     h = path_backbone(6)
-    comps = components_masks(h, 0b001100)  # remove {2, 3}
-    assert comps == [(0, 0b000011), (4, 0b110000)]
-    # ids come out ascending
-    assert [cid for cid, _ in comps] == sorted(cid for cid, _ in comps)
+    # a tuple of masks, ascending by smallest vertex
+    assert components_masks(h, 0b001100) == (0b000011, 0b110000)
+    assert components_masks(h, 0b010010) == (0b000001, 0b001100, 0b100000)
 
 
 def bfs_components(h, sep_mask):
     """Reference split: breadth-first search from the smallest vertex
     left, over the whole backbone, one component at a time."""
     remaining = ((1 << h.n) - 1) & ~sep_mask
-    out = []
+    out = ()
     while remaining:
         low = remaining & -remaining
         comp = frontier = low
@@ -58,7 +56,7 @@ def bfs_components(h, sep_mask):
                 nxt |= h.adj[v]
             frontier = nxt & remaining & ~comp
             comp |= frontier
-        out.append((low.bit_length() - 1, comp))
+        out += (comp,)
         remaining &= ~comp
     return out
 
@@ -114,7 +112,7 @@ def test_components_masks_refuses_a_separator_outside_the_tree():
 def child_ids(h, child, region, pivot):
     """Ids of the components of h minus child that partition region
     minus the pivot, via region_components."""
-    comps = [m for _, m in components_masks(h, mask_of(child))]
+    comps = components_masks(h, mask_of(child))
     parts = region_components(comps, mask_of(region) & ~(1 << pivot))
     return frozenset((m & -m).bit_length() - 1 for m in parts)
 
@@ -140,7 +138,7 @@ def test_region_components_union_region():
 
 def test_region_components_mask_tuple():
     # removing {2, 3} from the path 0..6 leaves {0, 1} and {4, 5, 6}
-    comps = [m for _, m in components_masks(path_backbone(7), 0b0001100)]
+    comps = components_masks(path_backbone(7), 0b0001100)
     assert region_components(comps, 0b1110000) == (0b1110000,)
     assert region_components(comps, 0b1110011) == (0b0000011, 0b1110000)
     assert region_components(comps, 0) == ()
@@ -169,7 +167,7 @@ def test_separation_bound_random_trees():
         n = int(rng.integers(k + 2, 14))
         h = random_backbone(n, d, rng)
         sep = [int(v) for v in rng.choice(n, size=k + 1, replace=False)]
-        comps = [c for _, c in components(h, sep)]
+        comps = components(h, sep)
         # removing k+1 vertices from a tree leaves 1 - (k+1) plus their
         # degrees minus the edges among them, at most d(k+1) - k
         assert len(comps) <= d * (k + 1) - k

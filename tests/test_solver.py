@@ -274,7 +274,7 @@ def test_clique_components_match_bfs(shape, relabel):
             cliques = [m for m in s._splits if m.bit_count() == k + 1]
             assert cliques
             for mask, comps in s._splits.items():
-                assert comps == tuple(m for _, m in bfs_components(h, mask))
+                assert comps == bfs_components(h, mask)
             # the memo holds the reached cliques and their prefixes, each
             # set minus its largest vertex, and nothing else; a fresh
             # solver cuts a clique through exactly its own prefixes
@@ -532,6 +532,54 @@ def test_ktree_host_solve_returns_the_host(n, k):
     res = solve_retaining_mskt(g, h, k, oracle)
     assert res.ktree.edges == t.edges
     assert res.score == best_rooted_score(t, h, oracle)[0]
+
+
+def planted_instance(h, k, p, rng):
+    """A host with many spanning k-trees and tables under which a random
+    retaining k-tree T* is the unique optimum.
+
+    The host is T* plus each other pair with probability p. Every host
+    (k+1)-clique C scores s(C) as a root and as the attachment of each
+    of its vertices: 1 on T*'s cliques, a multiple of 2^-3 in [0, 7/8]
+    elsewhere, so the tables are root-invariant. A k-tree on n vertices
+    has n - k cliques, and one with another edge set has a clique T*
+    lacks, so only T* reaches n - k."""
+    t = random_retaining_ktree(h, k, rng)
+    edges = set(t.edges)
+    edges.update(e for e in itertools.combinations(range(h.n), 2)
+                 if rng.random() < p)
+    g = UndirectedGraph(h.n, edges)
+    planted = {tuple(sorted(base + (w,))) for w, base in t.creation_order[k:]}
+    root, pivot = {}, {}
+    for c in iter_cliques(g.adj, k + 1):
+        root[c] = 1.0 if c in planted else int(rng.integers(8)) / 8
+        for w in c:
+            pivot[(w, tuple(x for x in c if x != w))] = root[c]
+    return t, g, ExplicitScoreOracle(k, root, pivot)
+
+
+@pytest.mark.parametrize("kind, k, n, p", [
+    ("path", 2, 130, 0.15), ("path", 3, 50, 0.35), ("path", 4, 32, 0.45),
+    ("deg3", 2, 130, 0.15), ("deg3", 3, 50, 0.35), ("deg3", 4, 32, 0.45),
+    # ten leaves: a clique holding the center splits off at most
+    # n - k - 1 <= 8 components, under the solver's cap of 16
+    ("star", 2, 11, 1.0), ("star", 3, 11, 1.0), ("star", 4, 11, 1.0),
+])
+def test_planted_optimum_is_found_exactly(kind, k, n, p):
+    # hosts of 165 to about 2,100 (k+1)-cliques, where the search has
+    # many spanning k-trees to choose from, unlike a k-tree host
+    rng = np.random.default_rng(1000 * k + n)
+    if kind == "path":
+        h = path_backbone(n)
+    elif kind == "deg3":
+        h = random_backbone(n, 3, rng)
+    else:
+        h = BackboneTree(n, [(0, v) for v in range(1, n)])
+    t, g, oracle = planted_instance(h, k, p, rng)
+    assert oracle.root_invariant
+    res = solve_retaining_mskt(g, h, k, oracle)
+    assert res.ktree.edges == t.edges
+    assert res.score == n - k
 
 
 class ScoresNonCliques(ScoreOracle):
