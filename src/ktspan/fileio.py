@@ -1,8 +1,11 @@
 """Stable file formats: graph JSON, score JSON, samples CSV, joint
 JSON, result JSON, and DOT rendering.
 
-All JSON is written with sorted keys and a trailing newline so
-identical inputs produce byte-identical files.
+Every JSON file is the bytes of json.dump(obj, indent=2,
+sort_keys=True) plus a newline, so identical inputs produce
+byte-identical files. The joint is the one file not built as an
+object: its fixed layout is streamed, a block of probability lines at a
+time, in those same bytes.
 
 Sample rows and integer keys are parsed by whole-array passes, not per
 cell: a samples body in one pass, keys a block of lines at a time. Text
@@ -338,13 +341,27 @@ def load_joint(path) -> JointTable:
 
 
 def save_joint(path, p: JointTable):
-    labels = [[str(x) for x in range(a)] for a in p.table.shape]
-    _dump_json(path, {
-        "vars": list(p.variables),
-        "alphabets": list(p.table.shape),
-        "probs": dict(zip(map(",".join, itertools.product(*labels)),
-                          p.table.ravel().tolist())),
-    })
+    """Write the bytes _dump_json would give the joint's layout object,
+    the "probs" lines a block of _BLOCK_LINES cells at a time, so no
+    dict of every key is built.
+
+    Each axis's labels are sorted as strings; since "," sorts below
+    every digit, the product of those orders is the sort_keys order of
+    the "a,b,..." keys, and the table is read in that order."""
+    labels = [sorted(map(str, range(a))) for a in p.table.shape]
+    cells = p.table[np.ix_(*[list(map(int, axis)) for axis in labels])].ravel()
+    keys = map(",".join, itertools.product(*labels))
+    sep = ",\n    "
+    with open(path, "w") as fh:
+        fh.write('{\n  "alphabets": [\n    ' + sep.join(map(str, p.table.shape))
+                 + '\n  ],\n  "probs": {\n    ')
+        for start in range(0, cells.size, _BLOCK_LINES):
+            values = cells[start:start + _BLOCK_LINES].tolist()
+            lines = [f'"{key}": {value!r}'
+                     for key, value in zip(itertools.islice(keys, len(values)), values)]
+            fh.write((sep if start else "") + sep.join(lines))
+        fh.write('\n  },\n  "vars": [\n    ' + sep.join(map(str, p.variables))
+                 + "\n  ]\n}\n")
 
 
 def _ktree_json_obj(t: KTree, scores=None):

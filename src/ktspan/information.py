@@ -125,12 +125,14 @@ class SampleMatrix:
 
 
 class JointTable:
-    """Dense joint distribution over a tuple of variables."""
+    """Dense joint distribution over a nonempty tuple of variables."""
 
     __slots__ = ("variables", "table")
 
     def __init__(self, variables, table):
         self.variables = tuple(int(v) for v in variables)
+        if not self.variables:
+            raise ValueError("a joint table needs at least one variable")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("repeated variable")
         arr = np.asarray(table, dtype=float)

@@ -287,14 +287,14 @@ def reference_save_samples(path, samples):
         np.savetxt(fh, samples.data, fmt="%d", delimiter=",")
 
 
-def reference_save_joint(path, p):
-    probs = {}
-    for idx in np.ndindex(*p.table.shape):
-        probs[",".join(map(str, idx))] = float(p.table[idx])
-    with open(path, "w") as fh:
-        json.dump({"vars": list(p.variables), "alphabets": list(p.table.shape),
-                   "probs": probs}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def dict_layout_bytes(p):
+    """The joint file as the object layout under json.dumps: one key per
+    cell of the table, sorted by the encoder."""
+    probs = {",".join(map(str, idx)): float(p.table[idx])
+             for idx in np.ndindex(*p.table.shape)}
+    obj = {"vars": list(p.variables), "alphabets": list(p.table.shape),
+           "probs": probs}
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
 
 def outcome(load, path):
@@ -430,10 +430,38 @@ def test_load_joint_matches_the_per_cell_loop(tmp_path, first_seed):
         assert outcome(load_joint, p) == want, (seed, want)
         if isinstance(want[0], type):
             continue
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        save_joint(a, load_joint(p))
-        reference_save_joint(b, load_joint(p))
-        assert a.read_bytes() == b.read_bytes(), seed
+        written = tmp_path / "a.json"
+        save_joint(written, load_joint(p))
+        assert written.read_bytes() == dict_layout_bytes(load_joint(p)), seed
+
+
+@pytest.mark.parametrize("variables, shape", [
+    (tuple(range(16)), (2,) * 16),  # more than one write block
+    # string order differs from numeric order on the wider axes
+    ((0, 1, 2), (3, 12, 2)),
+    ((0,), (13,)),
+    ((0, 1, 2), (3, 1, 2)),  # a one-symbol axis
+    ((4,), (5,)),
+    ((0,), (1,)),
+    ((5, 2, 9), (2, 3, 2)),
+], ids=["16-binary", "3x12x2", "13", "one-symbol-axis", "one-variable", "one-cell",
+        "vars-out-of-order"])
+def test_save_joint_writes_the_dict_layout_byte_for_byte(tmp_path, variables, shape):
+    rng = np.random.default_rng(len(shape))
+    table = rng.random(shape)
+    if table.size > 2:
+        # one cell of zero mass and one subnormal
+        table.flat[0] = table.flat[-1] = 0.0
+    table /= table.sum()
+    if table.size > 2:
+        table.flat[-1] = 5e-324
+    p = JointTable(variables, table)
+    path = tmp_path / "joint.json"
+    save_joint(path, p)
+    assert path.read_bytes() == dict_layout_bytes(p)
+    back = load_joint(path)
+    assert back.variables == p.variables
+    assert np.array_equal(back.table, p.table)
 
 
 def test_load_joint_over_several_parse_blocks(tmp_path):

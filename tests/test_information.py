@@ -205,6 +205,13 @@ def test_joint_table_validation():
         JointTable((0, 0), np.full((2, 2), 0.25))
 
 
+def test_joint_table_needs_a_variable():
+    # a table over no variables would be written with the key "", which
+    # no reader accepts as an assignment
+    with pytest.raises(ValueError, match="at least one variable"):
+        JointTable((), np.asarray(1.0))
+
+
 @pytest.mark.parametrize("cells", [
     [np.nan, 1.0], [1.0, np.nan], [np.inf, 0.0], [[0.5, np.nan], [0.25, 0.25]],
 ], ids=["nan-first", "nan-last", "inf", "nan-2d"])

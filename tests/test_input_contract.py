@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from ktspan.cli import main
-from ktspan.fileio import save_joint
-from ktspan.information import JointTable
+from ktspan.fileio import load_samples, save_joint, save_samples
+from ktspan.information import JointTable, SampleMatrix
 
 HUGE = 2 ** 70
 
@@ -50,6 +50,30 @@ def instance(tmp_path_factory):
                  "--out", str(out / "result.json")]) == 0
     save_joint(out / "joint.json",
                JointTable(tuple(range(7)), np.full((2,) * 7, 1 / 2 ** 7)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def large_instance(tmp_path_factory):
+    """An instance whose joint and samples take the readers' wider
+    paths: a joint over 14 binary variables (16,384 keys, more than one
+    parse block) and samples with one 12-symbol column (written and read
+    by the "%d" writer and numpy's text parser, not the digit grid)."""
+    out = tmp_path_factory.mktemp("contract-large")
+    n = 14
+    assert main(["gen", "--n", str(n), "--k", "2", "--degree", "3",
+                 "--samples", "200", "--seed", "4", "--out", str(out)]) == 0
+    samples = load_samples(out / "samples.csv").data.copy()
+    samples[:, 0] = np.arange(len(samples)) % 12
+    save_samples(out / "samples.csv", SampleMatrix(samples))
+    assert main(["fit", "--samples", str(out / "samples.csv"),
+                 "--graph", str(out / "graph.json"), "--k", "2",
+                 "--out", str(out / "scores.json")]) == 0
+    assert main(["solve", "--graph", str(out / "graph.json"),
+                 "--scores", str(out / "scores.json"), "--k", "2",
+                 "--out", str(out / "result.json")]) == 0
+    table = np.random.default_rng(4).random((2,) * n)
+    save_joint(out / "joint.json", JointTable(tuple(range(n)), table / table.sum()))
     return out
 
 
@@ -176,8 +200,9 @@ def mutations(name, original, trials=40):
             yield text.encode(), what
 
 
-@pytest.mark.parametrize("name", sorted(READERS))
-def test_mutated_inputs_exit_cleanly(instance, tmp_path, capsys, name):
+def check_mutations(instance, tmp_path, capsys, name):
+    """Run every command that reads the file name on each of its
+    mutations, the instance's other files intact."""
     paths = {other: instance / other for other in READERS}
     paths[name] = tmp_path / name
     codes = set()
@@ -196,6 +221,16 @@ def test_mutated_inputs_exit_cleanly(instance, tmp_path, capsys, name):
             codes.add(code)
     # the mutated file is the one the commands read
     assert 1 in codes
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_mutated_inputs_exit_cleanly(instance, tmp_path, capsys, name):
+    check_mutations(instance, tmp_path, capsys, name)
+
+
+@pytest.mark.parametrize("name", ["joint.json", "samples.csv"])
+def test_mutated_large_inputs_exit_cleanly(large_instance, tmp_path, capsys, name):
+    check_mutations(large_instance, tmp_path, capsys, name)
 
 
 @pytest.mark.parametrize("k", [HUGE, -HUGE])

@@ -582,6 +582,31 @@ def test_planted_optimum_is_found_exactly(kind, k, n, p):
     assert res.score == n - k
 
 
+@pytest.mark.parametrize("kind, k, n, p", [
+    ("path", 2, 60, 0.3), ("deg3", 2, 60, 0.3), ("path", 3, 50, 0.35), ("deg3", 3, 50, 0.35),
+])
+def test_planted_optimum_is_found_exactly_under_root_bonuses(kind, k, n, p):
+    # each root scores s(C) + b(C), b a multiple of 2^-6 in [0, 7/64],
+    # and each attachment s(C): T* rooted at C scores n - k + b(C), any
+    # other k-tree at most n - k - 1/8 + 7/64, so the optimum is T*
+    # rooted at its first clique of largest bonus, found only by
+    # sweeping every root, here of hosts of about 1,300 cliques
+    rng = np.random.default_rng(2000 + 100 * k + n)
+    h = path_backbone(n) if kind == "path" else random_backbone(n, 3, rng)
+    t, g, planted = planted_instance(h, k, p, rng)
+    bonus = {c: int(rng.integers(8)) / 64 for c in planted.root_scores}
+    oracle = ExplicitScoreOracle(
+        k, {c: s + bonus[c] for c, s in planted.root_scores.items()},
+        planted.pivot_scores)
+    assert not oracle.root_invariant
+    res = solve_retaining_mskt(g, h, k, oracle)
+    assert res.ktree.edges == t.edges
+    cliques = sorted(tuple(sorted(base + (w,))) for w, base in t.creation_order[k:])
+    best = max(bonus[c] for c in cliques)
+    assert res.score == n - k + best
+    assert res.ktree.root_clique == next(c for c in cliques if bonus[c] == best)
+
+
 class ScoresNonCliques(ScoreOracle):
     """Explicit tables that also score every attachment they lack, above
     any table entry, so only the solver keeps the k-tree on host edges."""
