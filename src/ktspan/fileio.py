@@ -5,7 +5,10 @@ Every JSON file is the bytes of json.dump(obj, indent=2,
 sort_keys=True) plus a newline, so identical inputs produce
 byte-identical files. The joint is the one file not built as an
 object: its fixed layout is streamed, a block of probability lines at a
-time, in those same bytes.
+time, in those same bytes. A joint whose bytes are exactly that layout,
+every alphabet at most 10, is read back by whole-array passes, a block
+of lines at a time; any other valid joint goes through the JSON parser,
+to the same table and the same errors.
 
 Sample rows and integer keys are parsed by whole-array passes, not per
 cell: a samples body in one pass, keys a block of lines at a time. Text
@@ -25,6 +28,7 @@ import math
 import warnings
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InstanceTooLargeError
 from .graphs import MAX_VERTICES, BackboneTree, KTree, UndirectedGraph, normalize_edge
@@ -82,16 +86,19 @@ def _edge_list(value, key, path):
     return [tuple(e) for e in value]
 
 
-def _number_map(value, key, path):
-    # json reads NaN, Infinity and integers too large for a float; the
-    # type pass runs first, so isfinite sees only ints and floats
+def _finite_numbers(values):
+    """Whether every value is a finite int or float. json reads NaN,
+    Infinity and integers too large for a float; the type pass runs
+    first, so isfinite sees only ints and floats."""
     try:
-        ok = (isinstance(value, dict)
-              and {int, float}.issuperset(map(type, value.values()))
-              and all(map(math.isfinite, value.values())))
+        return ({int, float}.issuperset(map(type, values))
+                and all(map(math.isfinite, values)))
     except OverflowError:
-        ok = False
-    if not ok:
+        return False
+
+
+def _number_map(value, key, path):
+    if not (isinstance(value, dict) and _finite_numbers(value.values())):
         raise ValueError(f'{path}: "{key}" must be an object of finite numbers')
     return value
 
@@ -315,29 +322,113 @@ def save_samples(path, samples: SampleMatrix):
             fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
+def _joint_frame(shape, variables):
+    """The text save_joint writes before the first "probs" line and
+    after the last one."""
+    sep = ",\n    "
+    return ('{\n  "alphabets": [\n    ' + sep.join(map(str, shape))
+            + '\n  ],\n  "probs": {\n    ',
+            '\n  },\n  "vars": [\n    ' + sep.join(map(str, variables)) + "\n  ]\n}\n")
+
+
+def _read_layout(path):
+    """(variables, table) of a joint whose bytes are exactly save_joint's
+    layout with every alphabet in 1..10, read by whole-array passes; None
+    for any other file.
+
+    Single-digit labels sort as numbers, so the lines are the cells in
+    row-major order. Each block of _BLOCK_LINES lines must start with
+    the cells' own keys; blanking those prefixes leaves one JSON array
+    of the block's values, which must hold one finite number per line,
+    by the rule _number_map applies.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        shape, variables = (
+            [int(x) for x in part[part.index(b"[") + 1:part.index(b"]")].split(b",")]
+            for part in (data[:data.index(b'"probs"')], data[data.rindex(b'"vars"'):]))
+    except ValueError:
+        return None
+    head, tail = (part.encode() for part in _joint_frame(shape, variables))
+    cells = math.prod(shape)
+    # a label of two digits matches no line's prefix; wider alphabets
+    # are left to the JSON parser before the body is scanned
+    if not (data.startswith(head) and data.endswith(tail) and len(variables) == len(shape)
+            and all(1 <= a <= 10 for a in shape) and cells <= MAX_TABLE_CELLS):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # from the newline before the first line to the one after the last
+    lo, hi = len(head) - 5, len(data) - len(tail) + 1
+    breaks = np.flatnonzero(buf[lo:hi] == ord("\n")) + lo
+    width = 2 * len(shape) + 7
+    if len(breaks) != cells + 1 or (buf[breaks[1:-1] - 1] != ord(",")).any():
+        return None
+    prefix = np.frombuffer(('    "' + ",".join("0" * len(shape)) + '": ').encode(),
+                           dtype=np.uint8)
+    table = np.empty(cells)
+    for start in range(0, cells, _BLOCK_LINES):
+        stop = min(start + _BLOCK_LINES, cells)
+        starts = breaks[start:stop] + 1
+        lines = sliding_window_view(buf, width)[starts]
+        try:
+            # a key's digits are every other byte after '    "'; any byte
+            # other than a digit within its axis's alphabet raises
+            codes = np.ravel_multi_index(lines[:, 5:width - 3:2].T - ord("0"), shape)
+        except ValueError:
+            return None
+        if ((lines != prefix) & (prefix != ord("0"))).any() or (
+                codes != np.arange(start, stop)).any():
+            return None
+        # the newline before the block and the comma after it become brackets
+        text = bytearray(memoryview(data)[starts[0] - 1:breaks[stop] + (stop == cells)])
+        text[0], text[-1] = ord("["), ord("]")
+        sliding_window_view(np.frombuffer(text, dtype=np.uint8), width,
+                            writeable=True)[starts - starts[0] + 1] = ord(" ")
+        try:
+            values = json.loads(text)
+        except ValueError:
+            return None
+        if len(values) != stop - start or not _finite_numbers(values):
+            return None
+        table[start:stop] = np.fromiter(values, dtype=float, count=len(values))
+    return variables, table.reshape(shape)
+
+
 def load_joint(path) -> JointTable:
-    """Read a dense joint table; absent assignments count as zero."""
-    obj = _load_json(path)
-    variables = _integer_list(_require(obj, "vars", path), "vars", path)
-    alphabets = _integer_list(_require(obj, "alphabets", path), "alphabets", path)
-    probs = _number_map(_require(obj, "probs", path), "probs", path)
-    if len(variables) != len(alphabets):
-        raise ValueError(f"{path}: vars and alphabets differ in length")
-    cells = 1
-    for a in alphabets:
-        cells *= a
-    if cells > MAX_TABLE_CELLS:
-        raise InstanceTooLargeError(
-            f"{path}: assignment space has {cells} cells (limit {MAX_TABLE_CELLS})")
-    table = np.zeros(tuple(alphabets))
-    keys = list(probs)
-    values = np.fromiter(probs.values(), dtype=float, count=len(keys))
-    for start, idx in _int_key_blocks(path, keys, len(alphabets),
-                                      label="assignment", bounds=alphabets):
-        # a later key naming the same cell overwrites it, as in file order
-        table.reshape(-1)[np.ravel_multi_index(idx.T, table.shape)] = \
-            values[start:start + len(idx)]
-    return JointTable(tuple(variables), table)
+    """Read a dense joint table; absent assignments count as zero.
+
+    A file in save_joint's layout is read by _read_layout; any other
+    goes through the JSON parser, to the same table or the same error.
+    """
+    layout = _read_layout(path)
+    if layout is None:
+        obj = _load_json(path)
+        variables = _integer_list(_require(obj, "vars", path), "vars", path)
+        alphabets = _integer_list(_require(obj, "alphabets", path), "alphabets", path)
+        probs = _number_map(_require(obj, "probs", path), "probs", path)
+        if len(variables) != len(alphabets):
+            raise ValueError(f"{path}: vars and alphabets differ in length")
+        if any(a < 1 for a in alphabets):
+            raise ValueError(f'{path}: "alphabets" must be positive integers')
+        cells = math.prod(alphabets)
+        if cells > MAX_TABLE_CELLS:
+            raise InstanceTooLargeError(
+                f"{path}: assignment space has {cells} cells (limit {MAX_TABLE_CELLS})")
+        table = np.zeros(tuple(alphabets))
+        keys = list(probs)
+        values = np.fromiter(probs.values(), dtype=float, count=len(keys))
+        for start, idx in _int_key_blocks(path, keys, len(alphabets),
+                                          label="assignment", bounds=alphabets):
+            # a later key naming the same cell overwrites it, as in file order
+            table.reshape(-1)[np.ravel_multi_index(idx.T, table.shape)] = \
+                values[start:start + len(idx)]
+    else:
+        variables, table = layout
+    try:
+        return JointTable(tuple(variables), table)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_joint(path, p: JointTable):
@@ -351,17 +442,16 @@ def save_joint(path, p: JointTable):
     labels = [sorted(map(str, range(a))) for a in p.table.shape]
     cells = p.table[np.ix_(*[list(map(int, axis)) for axis in labels])].ravel()
     keys = map(",".join, itertools.product(*labels))
+    head, tail = _joint_frame(p.table.shape, p.variables)
     sep = ",\n    "
     with open(path, "w") as fh:
-        fh.write('{\n  "alphabets": [\n    ' + sep.join(map(str, p.table.shape))
-                 + '\n  ],\n  "probs": {\n    ')
+        fh.write(head)
         for start in range(0, cells.size, _BLOCK_LINES):
             values = cells[start:start + _BLOCK_LINES].tolist()
             lines = [f'"{key}": {value!r}'
                      for key, value in zip(itertools.islice(keys, len(values)), values)]
             fh.write((sep if start else "") + sep.join(lines))
-        fh.write('\n  },\n  "vars": [\n    ' + sep.join(map(str, p.variables))
-                 + "\n  ]\n}\n")
+        fh.write(tail)
 
 
 def _ktree_json_obj(t: KTree, scores=None):

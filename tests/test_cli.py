@@ -264,6 +264,11 @@ GOOD_RESULT = {"k": 1, "root": [0, 1], "cliques": [{"pivot": 2, "base": [1]}],
     (GOOD_JOINT, dict(GOOD_RESULT, k=-1, root=[])),
     (GOOD_JOINT, dict(GOOD_RESULT, edges=[[0, 1], 5])),
     (dict(GOOD_JOINT, probs={"0,0,0": float("nan")}), GOOD_RESULT),
+    (dict(GOOD_JOINT, probs={"0,0,0": 0.5}), GOOD_RESULT),
+    (dict(GOOD_JOINT, vars=[0, 1, 0]), GOOD_RESULT),
+    ({"vars": [], "alphabets": [], "probs": {}}, GOOD_RESULT),
+    ({"vars": [0, 1], "alphabets": [2, 0], "probs": {}}, GOOD_RESULT),
+    ({"vars": [0], "alphabets": [-1], "probs": {}}, GOOD_RESULT),
 ])
 def test_malformed_joint_and_result_files_are_data_errors(tmp_path, capsys,
                                                           joint, result):
@@ -271,7 +276,10 @@ def test_malformed_joint_and_result_files_are_data_errors(tmp_path, capsys,
     (tmp_path / "r.json").write_text(json.dumps(result))
     assert main(["kl", "--joint", str(tmp_path / "j.json"),
                  "--result", str(tmp_path / "r.json")]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    # the message names the file at fault
+    err = capsys.readouterr().err
+    assert err.startswith((f"error: {tmp_path / 'j.json'}",
+                           f"error: {tmp_path / 'r.json'}")), err
 
 
 def test_well_formed_joint_and_result_files_pass_kl(tmp_path, capsys):

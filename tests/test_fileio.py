@@ -2,6 +2,8 @@
 
 import json
 import re
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -247,6 +249,12 @@ def cell_int(cell):
 def reference_load_joint(path):
     obj = json.loads(path.read_text())
     variables, alphabets, probs = obj["vars"], obj["alphabets"], obj["probs"]
+    for p in probs.values():
+        # an int too large for a float compares above the largest float
+        if type(p) not in (int, float) or p != p or abs(p) > sys.float_info.max:
+            raise ValueError(f'{path}: "probs" must be an object of finite numbers')
+    if any(a < 1 for a in alphabets):
+        raise ValueError(f'{path}: "alphabets" must be positive integers')
     table = np.zeros(tuple(alphabets))
     for key, p in probs.items():
         try:
@@ -259,7 +267,10 @@ def reference_load_joint(path):
         if any(not 0 <= x < a for x, a in zip(idx, alphabets)):
             raise ValueError(f"{path}: assignment {key!r} is out of range")
         table[idx] = float(p)
-    return JointTable(tuple(variables), table)
+    try:
+        return JointTable(tuple(variables), table)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def reference_load_samples(path):
@@ -435,8 +446,8 @@ def test_load_joint_matches_the_per_cell_loop(tmp_path, first_seed):
         assert written.read_bytes() == dict_layout_bytes(load_joint(p)), seed
 
 
-@pytest.mark.parametrize("variables, shape", [
-    (tuple(range(16)), (2,) * 16),  # more than one write block
+SAVED_JOINTS = pytest.mark.parametrize("variables, shape", [
+    (tuple(range(16)), (2,) * 16),  # more than one write and read block
     # string order differs from numeric order on the wider axes
     ((0, 1, 2), (3, 12, 2)),
     ((0,), (13,)),
@@ -444,24 +455,121 @@ def test_load_joint_matches_the_per_cell_loop(tmp_path, first_seed):
     ((4,), (5,)),
     ((0,), (1,)),
     ((5, 2, 9), (2, 3, 2)),
+    ((3, 0, 2, 1), (9, 10, 10, 10)),  # two read blocks, labels up to 9
 ], ids=["16-binary", "3x12x2", "13", "one-symbol-axis", "one-variable", "one-cell",
-        "vars-out-of-order"])
-def test_save_joint_writes_the_dict_layout_byte_for_byte(tmp_path, variables, shape):
+        "vars-out-of-order", "9x10x10x10"])
+
+
+def saved_joint(variables, shape):
+    """A joint over `shape`; past two cells, its first cell is zero and
+    its last subnormal."""
     rng = np.random.default_rng(len(shape))
     table = rng.random(shape)
     if table.size > 2:
-        # one cell of zero mass and one subnormal
         table.flat[0] = table.flat[-1] = 0.0
     table /= table.sum()
     if table.size > 2:
         table.flat[-1] = 5e-324
-    p = JointTable(variables, table)
+    return JointTable(variables, table)
+
+
+@SAVED_JOINTS
+def test_save_joint_writes_the_dict_layout_byte_for_byte(tmp_path, variables, shape):
+    p = saved_joint(variables, shape)
     path = tmp_path / "joint.json"
     save_joint(path, p)
     assert path.read_bytes() == dict_layout_bytes(p)
     back = load_joint(path)
     assert back.variables == p.variables
     assert np.array_equal(back.table, p.table)
+
+
+@SAVED_JOINTS
+def test_layout_reader_matches_the_json_parser(tmp_path, variables, shape):
+    # a compact dump of the same object is not in save_joint's layout,
+    # so it is read by the JSON parser
+    layout, compact = tmp_path / "layout.json", tmp_path / "compact.json"
+    save_joint(layout, saved_joint(variables, shape))
+    compact.write_text(json.dumps(json.loads(layout.read_text())))
+    a, b = load_joint(layout), load_joint(compact)
+    assert a.variables == b.variables
+    assert a.table.tobytes() == b.table.tobytes()
+
+
+# Value tokens of one line of a saved joint: JSON numbers the reader must
+# read as the parser does, and text that is no JSON number, no finite one,
+# or more than one.
+VALUE_EDITS = ["01", "1.", ".5", "+1", "NaN", "Infinity", "1_0", "1e400", "true", "null",
+               '"x"', "[1]", "1E-3", "-0", " 5 ", "1" * 30, "0E0", " 0 ", "-0.0", "0, 0"]
+
+
+def layout_edits(text):
+    """(name, edited text) for edits of a saved 9x10x10x10 joint: each of
+    VALUE_EDITS on its first and last line, its value respelled on the
+    first line of the second read block, and edits of its lines and bytes.
+    The first and last cells hold 0 and 5e-324, so zeros keep the sum."""
+    lines = text.split("\n")
+    first = lines.index('  "probs": {') + 1
+    head, lines, tail = lines[:first], lines[first:first + 9000], lines[first + 9000:]
+    assert lines[0].startswith('    "0,0,0,0": ')
+    assert lines[-1].startswith('    "8,9,9,9": ')
+
+    def joined(body):
+        return "\n".join(head + body + tail)
+
+    def with_value(i, value):
+        key, _, old = lines[i].partition(": ")
+        comma = "," if old.endswith(",") else ""
+        return joined(lines[:i] + [f"{key}: {value}{comma}"] + lines[i + 1:])
+
+    for value in VALUE_EDITS:
+        yield f"first {value!r}", with_value(0, value)
+        yield f"last {value!r}", with_value(8999, value)
+    old = lines[8192].partition(": ")[2].rstrip(",")
+    yield "respelled", with_value(8192, f" {old}0 ")
+    yield "key digit", joined(lines[:8192] + [lines[8192].replace('"8,', '"7,', 1)]
+                              + lines[8193:])
+    yield "semicolon", joined(lines[:8192] + [lines[8192].replace('": ', '"; ')]
+                              + lines[8193:])
+    yield "comma moved", joined(lines[:8192] + [lines[8192].rstrip(","),
+                                                lines[8193].replace(": ", ": ,")]
+                                + lines[8194:])
+    yield "swapped", joined(lines[:8191] + [lines[8192], lines[8191]] + lines[8193:])
+    yield "dropped", joined(lines[:8192] + lines[8193:])
+    yield "dropped last", joined(lines[:-2] + [lines[-2].rstrip(",")])
+    yield "duplicated", joined(lines[:8192] + lines[8191:])
+    yield "extra line", joined(lines[:-1] + [lines[-1] + ",",
+                                             lines[0].replace(": 0.0,", ": 0.5")])
+    yield "trailing comma", joined(lines[:-1] + [lines[-1] + ","])
+    yield "unclosed", text[:-2] + " \n"
+    yield "crlf", text.replace("\n", "\r\n")
+    yield "bom", "\ufeff" + text
+
+
+def test_layout_reader_matches_the_per_cell_loop_on_edited_files(tmp_path):
+    path = tmp_path / "joint.json"
+    save_joint(path, saved_joint((3, 0, 2, 1), (9, 10, 10, 10)))
+    loaded = 0
+    for name, text in layout_edits(path.read_text()):
+        path.write_bytes(text.encode())
+        want = outcome(reference_load_joint, path)
+        assert outcome(load_joint, path) == want, name
+        loaded += not isinstance(want[0], type)
+    # the zeros, the respelled value, the tiny last cell dropped, and the
+    # swapped, duplicated and CRLF files load; the others are refused
+    assert loaded == 13
+
+
+def test_layout_reader_memory_is_bounded_by_the_file_size(tmp_path):
+    path = tmp_path / "joint.json"
+    save_joint(path, saved_joint(tuple(range(16)), (2,) * 16))
+    tracemalloc.start()
+    try:
+        load_joint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * path.stat().st_size
 
 
 def test_load_joint_over_several_parse_blocks(tmp_path):
