@@ -3,12 +3,18 @@ JSON, result JSON, and DOT rendering.
 
 Every JSON file is the bytes of json.dump(obj, indent=2,
 sort_keys=True) plus a newline, so identical inputs produce
-byte-identical files. The joint is the one file not built as an
-object: its fixed layout is streamed, a block of probability lines at a
-time, in those same bytes. A joint whose bytes are exactly that layout,
-every alphabet at most 10, is read back by whole-array passes, a block
-of lines at a time; any other valid joint goes through the JSON parser,
-to the same table and the same errors.
+byte-identical files. The joint and the result are not built as
+objects. The joint's fixed layout is streamed, a block of probability
+lines at a time, in those same bytes. A joint whose bytes are exactly
+that layout, every alphabet at most 10, is read back by whole-array
+passes, a block of lines at a time; any other valid joint goes through
+the JSON parser, to the same table and the same errors.
+
+A result is filled into one "%" template per list, its scores encoded
+by json itself, so every number json accepts (ints, floats, NaN and
+the infinities) reads as json.dump writes it. Score tables go to
+ExplicitScoreOracle as parsed key rows, and it keys them by sorted
+tuples. Errors from the JSON parser name the file.
 
 Sample rows and integer keys are parsed by whole-array passes, not per
 cell: a samples body in one pass, keys a block of lines at a time. Text
@@ -47,8 +53,11 @@ _BREAKS_TO_SPACES = str.maketrans("\r\n", "  ")
 
 
 def _load_json(path):
-    with open(path) as fh:
-        obj = json.load(fh)
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return obj
@@ -193,11 +202,15 @@ def _int_key_blocks(path, keys, width, label="key",
         yield start, rows
 
 
+def _int_key_rows(path, keys, width, **kwargs):
+    """The rows of _int_key_blocks as one (len(keys), width) array."""
+    return np.concatenate([np.empty((0, width), dtype=np.int64),
+                           *(rows for _, rows in _int_key_blocks(path, keys, width, **kwargs))])
+
+
 def _int_key_items(path, mapping, width, **kwargs):
     """(integers of the key as a list, value) per item of a JSON object."""
-    rows = (row for _, block in _int_key_blocks(path, list(mapping), width, **kwargs)
-            for row in block.tolist())
-    return zip(rows, mapping.values())
+    return zip(_int_key_rows(path, list(mapping), width, **kwargs).tolist(), mapping.values())
 
 
 def load_graph(path):
@@ -248,20 +261,23 @@ def _pivot_line(key):
 def load_scores(path, n) -> ExplicitScoreOracle:
     """Read explicit score tables for a graph on n vertices; absent
     entries mean forbidden, and a "k" outside 1..n-1 or a key naming a
-    vertex outside 0..n-1 is an error."""
+    vertex outside 0..n-1 is an error. The parsed key rows go to
+    ExplicitScoreOracle as arrays, and its errors name the file."""
     obj = _load_json(path)
     k = _integer(_require(obj, "k", path), "k", path)
     if not 1 <= k < n:
         raise ValueError(f'{path}: "k" must satisfy 1 <= k < n, got k={k}, n={n}')
     bounds = (n,) * (k + 1)
-    root = {tuple(c): float(s) for c, s in _int_key_items(
-        path, _number_map(obj.get("root", {}), "root", path), k + 1,
-        bounds=bounds)}
+    roots = _number_map(obj.get("root", {}), "root", path)
+    root_rows = _int_key_rows(path, list(roots), k + 1, bounds=bounds)
     pivots = _number_map(obj.get("pivot", {}), "pivot", path)
-    pivot = {(w, tuple(base)): float(s) for (w, *base), s in _int_key_items(
-        path, pivots, k + 1, grammar='is not "pivot|base" integers',
-        lines=list(map(_pivot_line, pivots)), bounds=bounds)}
-    return ExplicitScoreOracle(k, root, pivot)
+    pivot_rows = _int_key_rows(path, list(pivots), k + 1, grammar='is not "pivot|base" integers',
+                               lines=list(map(_pivot_line, pivots)), bounds=bounds)
+    try:
+        return ExplicitScoreOracle(k, (root_rows, list(roots.values())),
+                                   (pivot_rows, list(pivots.values())))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_scores(path, oracle: ExplicitScoreOracle):
@@ -454,35 +470,47 @@ def save_joint(path, p: JointTable):
         fh.write(tail)
 
 
-def _ktree_json_obj(t: KTree, scores=None):
+def _write_ktree(path, t: KTree, scores=None):
+    """Write the bytes _dump_json gives the result object {"cliques":
+    [{"base", "pivot", "score"}, ...], "edges", "k", "root", "score"} of
+    a k-tree, filled into one "%" template per list.
+
+    Without scores the "score" keys are left out. Otherwise scores holds
+    one value per attached clique, in creation order, then the total;
+    json encodes them in one pass, one per line, so each number, NaN
+    and infinity reads as json.dump writes it."""
     k = t.k
-    root = [v for v, _ in t.creation_order[:k + 1]]
-    obj = {
-        "k": k,
-        "root": sorted(root),
-        "cliques": [],
-        "edges": [list(e) for e in sorted(t.edges)],
-    }
-    for i, (v, base) in enumerate(t.creation_order[k + 1:]):
-        item = {"pivot": v, "base": list(base)}
-        if scores is not None:
-            item["score"] = scores[i]
-        obj["cliques"].append(item)
-    return obj
+    attached = t.creation_order[k + 1:]
+    item = ('    {\n      "base": [\n        ' + ",\n        ".join(["%d"] * k)
+            + '\n      ],\n      "pivot": %d'
+            + ("" if scores is None else ',\n      "score": %s') + "\n    }")
+    if scores is None:
+        cells = [x for w, base in attached for x in (*base, w)]
+    else:
+        scores = json.dumps(scores, separators=("\n", ": "))[1:-1].split("\n")
+        cells = [x for (w, base), s in zip(attached, scores) for x in (*base, w, s)]
+    cliques = "[\n" + ",\n".join([item] * len(attached)) % tuple(cells) + "\n  ]"
+    edges = tuple(itertools.chain.from_iterable(sorted(t.edges)))
+    root = sorted(v for v, _ in t.creation_order[:k + 1])
+    text = "".join([
+        '{\n  "cliques": ', cliques if attached else "[]", ',\n  "edges": [\n',
+        ",\n".join(["    [\n      %d,\n      %d\n    ]"] * (len(edges) // 2)) % edges,
+        '\n  ],\n  "k": %d,\n  "root": [\n    ' % k, ",\n    ".join(map(str, root)),
+        "\n  ]" if scores is None else '\n  ],\n  "score": ' + scores[-1], "\n}\n"])
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def save_ktree(path, t: KTree):
     """Write a bare k-tree (no scores) in the result-file layout."""
-    _dump_json(path, _ktree_json_obj(t))
+    _write_ktree(path, t)
 
 
 def save_result(path, result, oracle):
     """Write a solver.SolveResult; per-clique scores come from the oracle."""
     t = result.ktree
-    scores = [oracle.score(w, base) for w, base in t.creation_order[t.k + 1:]]
-    obj = _ktree_json_obj(t, scores)
-    obj["score"] = result.score
-    _dump_json(path, obj)
+    _write_ktree(path, t, [*(oracle.score(w, base) for w, base in t.creation_order[t.k + 1:]),
+                           result.score])
 
 
 def load_result_ktree(path):

@@ -429,7 +429,13 @@ class ExplicitScoreOracle(ScoreOracle):
     """Scores looked up from explicit tables; absent entries are forbidden.
 
     root_scores maps sorted (k+1)-tuples to finite floats and
-    pivot_scores maps (pivot, base frozenset) pairs to finite floats.
+    pivot_scores maps (pivot, sorted base tuple) pairs to finite floats,
+    so a lookup sorts its clique or base and builds no set. Each table
+    is given as a mapping keyed as these are, in any vertex order, or as
+    a pair (rows, values): an (m, k+1) integer array, a pivot's row
+    being (pivot, *base), and m numbers. Of two entries for one key the
+    later wins. The checks run over the rows as whole arrays, and the
+    error names the first bad entry.
 
     root_invariant is worked out from the tables. It holds exactly when
     every root entry has all k+1 of its pivot entries and every pivot
@@ -438,54 +444,83 @@ class ExplicitScoreOracle(ScoreOracle):
     2**-36 with n * max|value| <= 2**17, n the vertices the tables
     name. Moving a k-tree's root across a shared base S then trades
     equal differences, and every sum is exact, so every rooting scores
-    the same bits. Tables `fit` writes pass; the check stops at the
-    first base whose differences disagree.
+    the same bits. Tables `fit` writes pass.
     """
 
     def __init__(self, k: int, root_scores, pivot_scores):
-        self.k = int(k)
-        self.root_scores = {}
-        for c, s in root_scores.items():
-            key = tuple(sorted(c))
-            if len(key) != self.k + 1 or len(set(key)) != len(key):
-                raise ValueError(f"root clique {key} is not a {self.k + 1}-set")
-            s = float(s)
-            if not math.isfinite(s):
-                raise ValueError(f"non-finite score {s} for root clique {key}")
-            self.root_scores[key] = s
-        self.pivot_scores = {}
-        for (w, b), s in pivot_scores.items():
-            bset = frozenset(b)
-            if len(bset) != self.k:
-                raise ValueError(f"attachment set {sorted(bset)} is not a {self.k}-set")
-            if w in bset:
-                raise ValueError(f"pivot {w} inside its own attachment set")
-            s = float(s)
-            if not math.isfinite(s):
-                raise ValueError(
-                    f"non-finite score {s} for pivot {w} on {sorted(bset)}")
-            self.pivot_scores[(int(w), bset)] = s
-        self.root_invariant = self._detect_root_invariant()
+        self.k = k = int(k)
+        keys, roots, rvals = _score_rows(root_scores, k + 1, tuple)
+        roots.sort(axis=1)
+        bad = (roots[:, 1:] == roots[:, :-1]).any(axis=1)
+        for i in np.flatnonzero(bad | ~np.isfinite(rvals))[:1]:
+            key = tuple(sorted(map(int, keys[i])))
+            raise ValueError(f"root clique {key} is not a {k + 1}-set" if bad[i] else
+                             f"non-finite score {rvals[i]} for root clique {key}")
+        keys, pivots, pvals = _score_rows(pivot_scores, k + 1, lambda key: (key[0], *key[1]))
+        bases = pivots[:, 1:]
+        bases.sort(axis=1)
+        inside = (bases == pivots[:, :1]).any(axis=1)
+        bad = inside | (bases[:, 1:] == bases[:, :-1]).any(axis=1) | ~np.isfinite(pvals)
+        for i in np.flatnonzero(bad)[:1]:
+            w, *base = map(int, keys[i])
+            base = sorted(set(base))
+            raise ValueError(
+                f"attachment set {base} is not a {k}-set" if len(base) != k else
+                f"pivot {w} inside its own attachment set" if inside[i] else
+                f"non-finite score {pvals[i]} for pivot {w} on {base}")
+        self.root_scores = dict(zip(zip(*roots.T.tolist()), rvals.tolist()))
+        self.pivot_scores = dict(zip(zip(pivots[:, 0].tolist(), zip(*bases.T.tolist())),
+                                     pvals.tolist()))
+        self.root_invariant = self._detect_root_invariant(roots, rvals, pivots, pvals)
 
-    def _detect_root_invariant(self) -> bool:
-        roots = self.root_scores
-        if len(self.pivot_scores) != (self.k + 1) * len(roots):
+    def _detect_root_invariant(self, roots, rvals, pivots, pvals) -> bool:
+        """The rule above, by whole-array passes over the checked rows:
+        roots sorted, pivots as (pivot, *sorted base)."""
+        k = self.k
+        if len(self.root_scores) < len(roots) or len(self.pivot_scores) < len(pivots):
+            # a later entry replaced an earlier one: check the tables as kept
+            return ExplicitScoreOracle(k, self.root_scores, self.pivot_scores).root_invariant
+        values = np.concatenate([rvals, pvals])
+        n = len(set(roots.ravel().tolist()))
+        # within the bound no value, scaled value or difference overflows
+        if (len(pivots) != (k + 1) * len(roots)
+                or n * float(np.abs(values).max(initial=0.0)) > _EXACT_LIMIT
+                or (values * _GRID % 1).any()):
             return False
-        offsets = {}
-        for (w, bset), s in self.pivot_scores.items():
-            r = roots.get(tuple(sorted(bset | {w})))
-            if r is None or offsets.setdefault(bset, r - s) != r - s:
-                return False
-        values = (*roots.values(), *self.pivot_scores.values())
-        n = len({v for c in roots for v in c})
-        return (n * max(map(abs, values), default=0.0) <= _EXACT_LIMIT
-                and all((v * _GRID).is_integer() for v in values))
+        # a clique has at most k+1 pivot keys, one per pivot, so every
+        # pivot has its root exactly when the pivots' cliques, sorted,
+        # are the sorted roots each repeated k+1 times
+        by_root = np.lexsort(roots.T)
+        cliques = np.sort(pivots, axis=1)
+        by_clique = np.lexsort(cliques.T)
+        if not np.array_equal(cliques[by_clique], roots[by_root].repeat(k + 1, axis=0)):
+            return False
+        offsets = rvals[by_root].repeat(k + 1) - pvals[by_clique]
+        bases = pivots[by_clique, 1:]
+        by_base = np.lexsort(bases.T)
+        bases, offsets = bases[by_base], offsets[by_base]
+        return not (offsets[1:] != offsets[:-1])[(bases[1:] == bases[:-1]).all(axis=1)].any()
 
     def score(self, pivot, base):
-        return self.pivot_scores.get((pivot, frozenset(base)))
+        return self.pivot_scores.get((pivot, tuple(sorted(base))))
 
     def root_score(self, clique):
         return self.root_scores.get(tuple(sorted(clique)))
+
+
+def _score_rows(table, width, row):
+    """A score table as (keys, rows, values): its keys, a mapping's as
+    row(key); those as an (m, width) int64 array, where a key of another
+    width is a row of zeros, which the checks refuse; and its values as
+    floats."""
+    if isinstance(table, tuple):
+        keys, values = table
+        rows = keys
+    else:
+        keys, values = [row(key) for key in table], list(table.values())
+        rows = [key if len(key) == width else (0,) * width for key in keys]
+    values = np.array(values, dtype=float)
+    return keys, np.array(rows, dtype=np.int64).reshape(len(values), width), values
 
 
 def materialize_scores(oracle: ScoreOracle, g: UndirectedGraph,
@@ -495,18 +530,19 @@ def materialize_scores(oracle: ScoreOracle, g: UndirectedGraph,
     frozen oracle reproduces the original on all of g's cliques."""
     if not 1 <= k < g.n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={g.n}")
-    root = {}
-    pivot = {}
+    roots, root_values, pivots, pivot_values = [], [], [], []
     for c in iter_cliques(g.adj, k + 1):
         rs = oracle.root_score(c)
         if rs is not None:
-            root[c] = rs
+            roots.append(c)
+            root_values.append(rs)
         for w in c:
             base = tuple(x for x in c if x != w)
             fs = oracle.score(w, base)
             if fs is not None:
-                pivot[(w, base)] = fs
-    return ExplicitScoreOracle(k, root, pivot)
+                pivots.append((w, *base))
+                pivot_values.append(fs)
+    return ExplicitScoreOracle(k, (roots, root_values), (pivots, pivot_values))
 
 
 def _check_source(source, n=None):

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,6 +290,41 @@ def test_well_formed_joint_and_result_files_pass_kl(tmp_path, capsys):
     assert main(["kl", "--joint", str(tmp_path / "j.json"),
                  "--result", str(tmp_path / "r.json")]) == 0
     assert capsys.readouterr().out == "0.000000\n"
+
+
+@pytest.mark.parametrize("name, text", [
+    ("g.json", '{"n": 3, "edges": [[0, 1], [1, 2], [0, 2],], "backbone": [[0, 1], [1, 2]]}'),
+    ("s.json", '{"k": 1, "root": {"0,1": 1.0,}, "pivot": {"2|1": 1.0}}'),
+    ("j.json", '{"vars": [0], "alphabets": [1], "probs": {"0": 1,}}'),
+    ("r.json", '{"k": 1, "root": [0, 1], "cliques": [], "edges": [[0, 1],]}'),
+], ids=["graph", "scores", "joint", "result"])
+def test_json_syntax_errors_name_the_file(tmp_path, capsys, name, text):
+    files = {"g.json": GOOD_GRAPH, "s.json": GOOD_SCORES, "j.json": GOOD_JOINT,
+             "r.json": GOOD_RESULT}
+    for other, obj in files.items():
+        (tmp_path / other).write_text(json.dumps(obj))
+    (tmp_path / name).write_text(text)
+    if name in ("g.json", "s.json"):
+        argv = ["solve", "--graph", str(tmp_path / "g.json"), "--scores",
+                str(tmp_path / "s.json"), "--k", "1", "--out", str(tmp_path / "out.json")]
+    else:
+        argv = ["kl", "--joint", str(tmp_path / "j.json"), "--result", str(tmp_path / "r.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / name}: "), err
+
+
+@pytest.mark.parametrize("scores, message", [
+    (dict(GOOD_SCORES, root={"0,0": 1.0}), "root clique (0, 0) is not a 2-set"),
+    (dict(GOOD_SCORES, pivot={"1|1": 1.0}), "pivot 1 inside its own attachment set"),
+], ids=["repeated-root-vertex", "pivot-in-base"])
+def test_score_table_errors_name_the_file(tmp_path, capsys, scores, message):
+    (tmp_path / "g.json").write_text(json.dumps(GOOD_GRAPH))
+    (tmp_path / "s.json").write_text(json.dumps(scores))
+    assert main(["solve", "--graph", str(tmp_path / "g.json"),
+                 "--scores", str(tmp_path / "s.json"), "--k", "1",
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 's.json'}: {message}\n"
 
 
 GRAPH_2 = {"n": 2, "edges": [[0, 1]], "backbone": [[0, 1]]}
@@ -578,9 +615,13 @@ def test_gen_truth_retains_backbone(tmp_path):
 
 def test_console_entry_point_exit_codes(tmp_path):
     save_graph(tmp_path / "g.json", UndirectedGraph.complete(3))
+    # the subprocess imports the checkout's package, as pytest does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = lambda *args: subprocess.run(
         [sys.executable, "-m", "ktspan.cli", *args],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     ok = run("reduce-clique", "--graph", str(tmp_path / "g.json"), "--k", "3")
     assert ok.returncode == 0 and ok.stdout.strip() == "decision true"
     bad = run("reduce-clique", "--graph", str(tmp_path / "missing.json"), "--k", "3")

@@ -1,6 +1,7 @@
 """File formats: graphs, scores, samples, joints, results, DOT."""
 
 import json
+import math
 import re
 import sys
 import tracemalloc
@@ -12,7 +13,9 @@ import pytest
 from ktspan import (
     BackboneTree,
     KTree,
+    SolveResult,
     UndirectedGraph,
+    WeightProductOracle,
     path_backbone,
     solve_retaining_mskt,
     validate_backbone,
@@ -197,6 +200,82 @@ def test_ktree_file_replays(tmp_path):
     assert back.edges == t.edges
 
 
+def ktree_layout_bytes(t, scores=None, total=None):
+    """The result file as json.dumps writes its object: save_ktree's
+    bytes without scores, save_result's with one score per attached
+    clique and the total."""
+    k = t.k
+    obj = {"k": k, "root": sorted(v for v, _ in t.creation_order[:k + 1]),
+           "cliques": [], "edges": [list(e) for e in sorted(t.edges)]}
+    for i, (v, base) in enumerate(t.creation_order[k + 1:]):
+        item = {"pivot": v, "base": list(base)}
+        if scores is not None:
+            item["score"] = scores[i]
+        obj["cliques"].append(item)
+    if scores is not None:
+        obj["score"] = total
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+# scores json writes in other forms than float repr, or that sit at the
+# edges of it
+ODD_SCORES = [3, -2, -0.0, 5e-324, 1e16, np.float64(0.1), -7.5, 0]
+
+
+class PivotScores:
+    """Scores picked from ODD_SCORES by the pivot."""
+
+    def score(self, pivot, base):
+        return ODD_SCORES[pivot % len(ODD_SCORES)]
+
+
+def assert_writers_match_json(path, t, oracle, total):
+    save_ktree(path, t)
+    assert path.read_bytes() == ktree_layout_bytes(t)
+    save_result(path, SolveResult(t, total, 0.0), oracle)
+    scores = [oracle.score(w, base) for w, base in t.creation_order[t.k + 1:]]
+    assert path.read_bytes() == ktree_layout_bytes(t, scores, total)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("extra", [0, 1, 3, 12])
+def test_result_writers_match_json_dump(tmp_path, k, extra):
+    # extra = 0 leaves the clique list empty; 12 gives vertex ids >= 10
+    rng = np.random.default_rng(10 * k + extra)
+    t = random_ktree(k + 1 + extra, k, rng)
+    total = ODD_SCORES[extra % len(ODD_SCORES)]
+    assert_writers_match_json(tmp_path / "r.json", t, PivotScores(), total)
+
+
+def test_result_writers_match_json_dump_on_unsorted_bases(tmp_path):
+    p = tmp_path / "truth.json"
+    t = KTree.from_creation_order(6, 2, [(5, ()), (2, (5,)), (0, (2, 5)), (3, (0, 2)),
+                                         (1, (2, 3)), (4, (0, 5))])
+    obj = json.loads(ktree_layout_bytes(t))
+    for item in obj["cliques"]:
+        item["base"].reverse()
+    p.write_text(json.dumps(obj))
+    loaded, _ = load_result_ktree(p)
+    oracle = random_explicit_scores(UndirectedGraph.complete(6), 2,
+                                    np.random.default_rng(7))
+    assert_writers_match_json(p, loaded, oracle, 12.5)
+
+
+def test_result_writers_match_json_dump_on_overflowing_products(tmp_path):
+    # pair products past the largest float: (0, 1, 3) gives inf, (0, 1, 4)
+    # -inf and (0, 1, 5) inf * 0, which is nan
+    weights = {e: 1.0 for e in UndirectedGraph.complete(6).edges}
+    weights.update({(0, 1): 1e300, (0, 3): 1e300, (0, 4): -1e300, (0, 5): 1e300,
+                    (1, 5): 0.0})
+    g = UndirectedGraph(6, weights, weights)
+    t = KTree.from_creation_order(6, 2, [(0, ()), (1, (0,)), (2, (0, 1)),
+                                         (3, (0, 1)), (4, (1, 0)), (5, (0, 1))])
+    oracle = WeightProductOracle(g)
+    assert [oracle.score(w, b) for w, b in t.creation_order[3:]][:2] == [math.inf, -math.inf]
+    assert math.isnan(oracle.score(5, (0, 1)))
+    assert_writers_match_json(tmp_path / "r.json", t, oracle, math.nan)
+
+
 def test_dot_output():
     t = KTree.from_creation_order(
         5, 2, [(0, ()), (1, (0,)), (2, (0, 1)), (3, (1, 2)), (4, (2, 3))])
@@ -247,7 +326,10 @@ def cell_int(cell):
 
 
 def reference_load_joint(path):
-    obj = json.loads(path.read_text())
+    try:
+        obj = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     variables, alphabets, probs = obj["vars"], obj["alphabets"], obj["probs"]
     for p in probs.values():
         # an int too large for a float compares above the largest float

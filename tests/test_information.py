@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -675,6 +676,122 @@ def test_explicit_oracle_detects_root_invariant_tables(k):
     assert not invariant({c: s for c, s in roots.items() if c != first}, pivots)
     assert not invariant(roots, {p: s for p, s in pivots.items() if p != key})
     assert not invariant(roots, {**pivots, key: pivots[key] + 2.0 ** -36})
+
+
+class ReferenceExplicitTables:
+    """The per-entry ExplicitScoreOracle constructor and root-invariance
+    check that whole-array passes replaced, with bases as frozensets."""
+
+    def __init__(self, k, root_scores, pivot_scores):
+        self.k = int(k)
+        self.root_scores = {}
+        for c, s in root_scores.items():
+            key = tuple(sorted(c))
+            if len(key) != self.k + 1 or len(set(key)) != len(key):
+                raise ValueError(f"root clique {key} is not a {self.k + 1}-set")
+            s = float(s)
+            if not math.isfinite(s):
+                raise ValueError(f"non-finite score {s} for root clique {key}")
+            self.root_scores[key] = s
+        self.pivot_scores = {}
+        for (w, b), s in pivot_scores.items():
+            bset = frozenset(b)
+            if len(bset) != self.k:
+                raise ValueError(f"attachment set {sorted(bset)} is not a {self.k}-set")
+            if w in bset:
+                raise ValueError(f"pivot {w} inside its own attachment set")
+            s = float(s)
+            if not math.isfinite(s):
+                raise ValueError(
+                    f"non-finite score {s} for pivot {w} on {sorted(bset)}")
+            self.pivot_scores[(int(w), bset)] = s
+        self.root_invariant = self._detect_root_invariant()
+
+    def _detect_root_invariant(self):
+        roots = self.root_scores
+        if len(self.pivot_scores) != (self.k + 1) * len(roots):
+            return False
+        offsets = {}
+        for (w, bset), s in self.pivot_scores.items():
+            r = roots.get(tuple(sorted(bset | {w})))
+            if r is None or offsets.setdefault(bset, r - s) != r - s:
+                return False
+        values = (*roots.values(), *self.pivot_scores.values())
+        n = len({v for c in roots for v in c})
+        return (n * max(map(abs, values), default=0.0) <= information._EXACT_LIMIT
+                and all((v * information._GRID).is_integer() for v in values))
+
+
+def tables_outcome(build, k, roots, pivots):
+    """The tables in insertion order and root_invariant that build gives,
+    or its error, with bases as sorted tuples. A numpy warning fails."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tables = build(k, roots, pivots)
+    except ValueError as exc:
+        return str(exc)
+    return (list(tables.root_scores.items()),
+            [((w, tuple(sorted(b))), s) for (w, b), s in tables.pivot_scores.items()],
+            tables.root_invariant)
+
+
+def as_rows(k, roots, pivots):
+    """The oracle built from (rows, values) pairs of the same entries."""
+    return ExplicitScoreOracle(
+        k, ([tuple(c) for c in roots], list(roots.values())),
+        ([(w, *b) for w, b in pivots], list(pivots.values())))
+
+
+def table_cases():
+    """(name, k, roots, pivots) score tables, keyed as mappings."""
+    for k in (1, 2, 3):
+        fitted = fit_tables(40 + k, 8, k)
+        roots = fitted.root_scores
+        pivots = dict(fitted.pivot_scores)
+        yield f"fit-k{k}", k, roots, pivots
+        first = min(roots)
+        key = (first[0], first[1:])
+        yield f"missing-root-k{k}", k, {c: s for c, s in roots.items() if c != first}, pivots
+        yield f"missing-pivot-k{k}", k, roots, {p: s for p, s in pivots.items() if p != key}
+        yield f"pivot-moved-k{k}", k, roots, {**pivots, key: pivots[key] + 2.0 ** -36}
+        yield f"off-grid-k{k}", k, {**roots, first: roots[first] + 2.0 ** -37}, pivots
+        # the same entry again with its vertices reversed: the later wins
+        yield f"respelled-same-k{k}", k, {**roots, first[::-1]: roots[first]}, pivots
+        yield (f"respelled-other-k{k}", k, roots,
+               {**pivots, (key[0], key[1][::-1]): pivots[key] + 1.0})
+        rng = np.random.default_rng(k)
+        random = random_explicit_scores(UndirectedGraph.complete(7), k, rng)
+        yield f"random-k{k}", k, random.root_scores, random.pivot_scores
+        for value in (2.0 ** 15, 2.0 ** 15 + 2.0 ** -36, -(2.0 ** 15) - 2.0 ** -36,
+                      3 * 2.0 ** -36, 2.0 ** -37, 1e308, -1e308):
+            uniform = uniform_tables(4, k, value)
+            yield f"uniform-k{k}-{value}", k, uniform.root_scores, uniform.pivot_scores
+    yield "empty", 2, {}, {}
+    yield "repeated-root-vertex", 2, {(0, 1, 2): 1.0, (0, 0, 1): 1.0}, {}
+    yield "short-root", 2, {(0, 1, 2): 1.0, (0, 1): 1.0}, {}
+    yield "pivot-in-base", 2, {(0, 1, 2): 1.0}, {(0, (1, 2)): 1.0, (1, (1, 2)): 1.0}
+    yield "short-base", 2, {}, {(0, (1, 2)): 1.0, (3, (1,)): 1.0}
+    yield "repeated-base-vertex", 2, {}, {(3, (1, 1)): 1.0}
+    yield "long-base", 1, {}, {(3, (1, 2)): 1.0}
+    yield "non-finite-root", 2, {(0, 1, 2): math.nan}, {}
+    yield "non-finite-pivot", 2, {}, {(3, (2, 1)): -math.inf}
+    # the first bad entry is named, whichever check it fails
+    yield "first-of-two", 2, {(2, 1, 0): math.inf, (0, 1, 1): 1.0}, {}
+    yield "first-of-two-pivots", 2, {}, {(3, (2, 2)): 1.0, (0, (0, 1)): math.nan}
+    yield "root-before-pivot", 2, {(0, 1, 2): 1.0, (4, 5): 1.0}, {(1, (1, 2)): 1.0}
+
+
+TABLE_CASES = list(table_cases())
+
+
+@pytest.mark.parametrize("case", TABLE_CASES, ids=[c[0] for c in TABLE_CASES])
+def test_explicit_tables_match_the_per_entry_reference(case):
+    _, k, roots, pivots = case
+    want = tables_outcome(ReferenceExplicitTables, k, roots, pivots)
+    assert tables_outcome(ExplicitScoreOracle, k, roots, pivots) == want
+    if all(len(c) == k + 1 for c in roots) and all(len(b) == k for _, b in pivots):
+        assert tables_outcome(as_rows, k, roots, pivots) == want
 
 
 def test_weight_product_oracle_edge_cases():
