@@ -51,6 +51,9 @@ _ZERO_DIGITS = str.maketrans("123456789", "000000000")
 # numpy's parser would end the line there
 _BREAKS_TO_SPACES = str.maketrans("\r\n", "  ")
 
+# every byte but the separators of newline-joined pivot keys
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",|\n")))
+
 
 def _load_json(path):
     try:
@@ -88,11 +91,12 @@ def _integer_list(value, key, path):
 
 
 def _edge_list(value, key, path):
-    if not isinstance(value, list) or not all(
-            isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)
-            for e in value):
+    # each pass runs only once the one before it holds: len needs lists
+    if not (isinstance(value, list) and {list}.issuperset(map(type, value))
+            and {2}.issuperset(map(len, value))
+            and {int}.issuperset(map(type, itertools.chain.from_iterable(value)))):
         raise ValueError(f'{path}: "{key}" must be a list of [u, v] integer pairs')
-    return [tuple(e) for e in value]
+    return list(map(tuple, value))
 
 
 def _finite_numbers(values):
@@ -251,11 +255,20 @@ def save_graph(path, g: UndirectedGraph, h: BackboneTree | None = None):
     _dump_json(path, obj)
 
 
-def _pivot_line(key):
-    """A pivot key "w|b1,...,bk" as the line "w,b1,...,bk"; a key with
-    no "|", or a "," before it, becomes "|", which parses as no integer."""
-    w, bar, base = key.partition("|")
-    return f"{w},{base}" if bar and "," not in w else "|"
+def _pivot_lines(keys):
+    """Pivot keys "w|b1,...,bk" as the lines "w,b1,...,bk"; a key with
+    no "|", or a "," before it, becomes "|", which parses as no integer.
+    ASCII keys are checked and rewritten in one pass over their joined
+    text: when its separators read line by line as one "|" and then
+    only ",", every key is "w|base" with no newline."""
+    text = "\n".join(keys)
+    if text.isascii():
+        seps = text.encode().translate(None, _NOT_SEPARATORS)
+        if seps.startswith(b"|") and (seps.count(b"|") == seps.count(b"\n|") + 1
+                                      == seps.count(b"\n") + 1 == len(keys)):
+            return text.replace("|", ",").split("\n")
+    return [f"{w},{base}" if bar and "," not in w else "|"
+            for w, bar, base in (key.partition("|") for key in keys)]
 
 
 def load_scores(path, n) -> ExplicitScoreOracle:
@@ -271,8 +284,9 @@ def load_scores(path, n) -> ExplicitScoreOracle:
     roots = _number_map(obj.get("root", {}), "root", path)
     root_rows = _int_key_rows(path, list(roots), k + 1, bounds=bounds)
     pivots = _number_map(obj.get("pivot", {}), "pivot", path)
-    pivot_rows = _int_key_rows(path, list(pivots), k + 1, grammar='is not "pivot|base" integers',
-                               lines=list(map(_pivot_line, pivots)), bounds=bounds)
+    keys = list(pivots)
+    pivot_rows = _int_key_rows(path, keys, k + 1, grammar='is not "pivot|base" integers',
+                               lines=_pivot_lines(keys), bounds=bounds)
     try:
         return ExplicitScoreOracle(k, (root_rows, list(roots.values())),
                                    (pivot_rows, list(pivots.values())))

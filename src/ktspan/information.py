@@ -316,14 +316,15 @@ class ScoreOracle:
 
     root_invariant promises that every creation order of a k-tree sums
     to the same score, bit for bit, whichever of its cliques is the
-    root. The solver then sweeps only the roots holding the smallest
-    backbone edge, since every retaining k-tree has a clique holding it,
-    and returns the winner rerooted at its lexicographically smallest
-    clique. The default is False. Mutual-information oracles set it,
-    since their scores are exact grid multiples; explicit tables work it
-    out from their values, so the tables `fit` writes are root-invariant
-    too, and a solve from samples and a solve on those tables give the
-    same bits.
+    root. The solver sweeps only the roots holding the smallest backbone
+    edge either way, since every retaining k-tree has a clique holding
+    it; under this promise it skips the rerooting values that otherwise
+    weigh every other root, and returns the winner rerooted at its
+    lexicographically smallest clique. The default is False.
+    Mutual-information oracles set it, since their scores are exact
+    grid multiples; explicit tables work it out from their values, so
+    the tables `fit` writes are root-invariant too, and a solve from
+    samples and a solve on those tables give the same bits.
     """
 
     root_invariant = False

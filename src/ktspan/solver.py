@@ -23,9 +23,17 @@ to recover its choice and build the creation order. One memo keeps the
 component masks of every clique reached and of each prefix they are cut
 from: a set's components are cut from those of the set minus its
 largest vertex, down to the empty set, so besides the cliques it holds
-at most n + C(n, 2) + ... + C(n, k) sets. k = 1 skips the DP: the
-backbone is the only retaining spanning 1-tree, and one walk over its
-clique tree scores every root.
+at most n + C(n, 2) + ... + C(n, k) sets.
+Every retaining k-tree has a clique holding the smallest backbone edge,
+so only those cliques are swept as roots. Under an oracle that is not
+root-invariant each state also keeps a rerooting value: the best total
+with the root moved to a clique below it, which the same frame fills
+beside its table value. Moving the root from B + x to B + w adds
+root_score(B + w) - root_score(B + x) + score(x | B) - score(w | B),
+so the sweep reaches every (k-tree, root) pair and solves only the
+winning root's states again. k = 1 skips the DP: the backbone is the
+only retaining spanning 1-tree, and one walk over its clique tree
+scores every root.
 Either search hands back a creation order, and one function turns it
 into the result: it reports infeasibility, applies the root-invariant
 reroot and rescores along the final order.
@@ -93,6 +101,12 @@ class _DPSolver:
     winning (cover, pivot, drop) in locals and reports it only when the
     traceback asks, and the traceback runs the frame of each winning
     state again, which after a sweep finds every child in the memo.
+    _rtable and _rbased key the same states as _table and _based and
+    hold their rerooting values, as (total, root) with the root a
+    reversed mask (vertex v at bit n - 1 - v), so of equal totals the
+    larger pair holds the root clique listed first; None when no
+    rerooting has a defined total. _roots keys root scores on the
+    clique mask.
     _solve_frame and _base_frame are generators that run as frames on
     one explicit work stack (_run): each probes the memo before asking
     for a child state, so a memo hit costs one dict lookup, and a miss
@@ -120,6 +134,28 @@ class _DPSolver:
         self._table = {}
         self._based = {}
         self._scores = {}
+        self._rtable = {}
+        self._rbased = {}
+        self._roots = {}
+
+    def _root_score(self, cmask):
+        """The oracle's root score of a clique mask, kept in _roots."""
+        rs = self._roots.get(cmask, _MISSING)
+        if rs is _MISSING:
+            rs = self._roots[cmask] = self.oracle.root_score(tuple(iter_bits(cmask)))
+        return rs
+
+    def _clique_split(self, cmask):
+        """_split of a clique mask, refused past _MAX_COMPONENTS. Only a
+        clique is capped: cutting a vertex that is a component on its own
+        lowers the count, so a prefix may leave more components than its
+        clique."""
+        comps = self._split(cmask)
+        if len(comps) > _MAX_COMPONENTS:
+            raise InstanceTooLargeError(
+                f"clique {tuple(iter_bits(cmask))} splits the backbone "
+                f"into {len(comps)} components (limit {_MAX_COMPONENTS})")
+        return comps
 
     def _split(self, mask):
         """Backbone components left by the vertices of mask, as masks
@@ -157,14 +193,7 @@ class _DPSolver:
         key = cmask << n
         comps = self._splits.get(cmask)
         if comps is None:
-            comps = self._split(cmask)
-            # only a clique is capped: cutting a vertex that is a
-            # component on its own lowers the count, so a prefix may
-            # leave more components than its clique
-            if len(comps) > _MAX_COMPONENTS:
-                raise InstanceTooLargeError(
-                    f"clique {tuple(iter_bits(cmask))} splits the backbone "
-                    f"into {len(comps)} components (limit {_MAX_COMPONENTS})")
+            comps = self._clique_split(cmask)
         parts = region_components(comps, region)
         best = None
         for idxs in self._covers(len(parts)):
@@ -260,6 +289,144 @@ class _DPSolver:
                 bestw = w
         self._based[(basemask << n) | region] = (best, bestw)
 
+    def _reroot_frame(self, cmask, region):
+        """Fill _table for (cmask, region) as _solve_frame does, and
+        _rtable with the best total when the root moves to a clique
+        strictly below cmask in the region, counting cmask's own
+        attachment toward it. That root lies below one branch: dropping
+        x for the base B, cmask attaches as score(x | B) on B's rerooting
+        value, and the other branches keep their table totals."""
+        table = self._table
+        rtable = self._rtable
+        based = self._based
+        rbased = self._rbased
+        scores = self._scores
+        score = self.oracle.score
+        hadj = self.hadj
+        n = self.n
+        pshift = self._pshift
+        key = cmask << n
+        comps = self._splits.get(cmask)
+        if comps is None:
+            comps = self._clique_split(cmask)
+        parts = region_components(comps, region)
+        best = moved = None
+        for idxs in self._covers(len(parts)):
+            cover = 0
+            for i in idxs:
+                cover |= parts[i]
+            got = mgot = None
+            pending = cmask
+            while pending:
+                xbit = pending & -pending
+                pending ^= xbit
+                x = xbit.bit_length() - 1
+                if hadj[x] & cover:
+                    continue
+                basemask = cmask ^ xbit
+                bkey = (basemask << n) | cover
+                hit = based.get(bkey)
+                if hit is None:
+                    yield self._reroot_base_frame(basemask, cover)
+                    hit = based[bkey]
+                val = hit[0]
+                if val is not None and (got is None or val > got):
+                    got = val
+                hit = rbased[bkey]
+                if hit is not None:
+                    skey = (basemask << pshift) | x
+                    fs = scores.get(skey, _MISSING)
+                    if fs is _MISSING:
+                        fs = scores[skey] = score(x, tuple(iter_bits(basemask)))
+                    if fs is not None:
+                        cand = (fs + hit[0], hit[1])
+                        if mgot is None or cand > mgot:
+                            mgot = cand
+            if got is None and mgot is None:
+                continue
+            rest = region ^ cover
+            if rest:
+                rkey = key | rest
+                sub = table.get(rkey, _MISSING)
+                if sub is _MISSING:
+                    yield self._reroot_frame(cmask, rest)
+                    sub = table[rkey]
+                below = rtable[rkey]
+            else:
+                sub = 0
+                below = None
+            if sub is not None:
+                if got is not None and (best is None or got + sub > best):
+                    best = got + sub
+                if mgot is not None:
+                    cand = (mgot[0] + sub, mgot[1])
+                    if moved is None or cand > moved:
+                        moved = cand
+            if got is not None and below is not None:
+                cand = (got + below[0], below[1])
+                if moved is None or cand > moved:
+                    moved = cand
+        table[key | region] = best
+        rtable[key | region] = moved
+
+    def _reroot_base_frame(self, basemask, region):
+        """Fill _based for (basemask, region) as _base_frame does, and
+        _rbased with the best total rooted at or below a child clique
+        base plus w. A pivot forbidden on this base still counts here:
+        with the root moved below, the child is no longer attached on
+        it."""
+        gadj = self.gadj
+        base = tuple(iter_bits(basemask))
+        common = -1
+        rbase = 0
+        top = self.n - 1
+        for b in base:
+            common &= gadj[b]
+            rbase |= 1 << (top - b)
+        score = self.oracle.score
+        table = self._table
+        rtable = self._rtable
+        roots = self._roots
+        scores = self._scores
+        n = self.n
+        skey = basemask << self._pshift
+        best = bestw = moved = None
+        pending = region & common
+        while pending:
+            wbit = pending & -pending
+            pending ^= wbit
+            w = wbit.bit_length() - 1
+            fs = scores.get(skey | w, _MISSING)
+            if fs is _MISSING:
+                fs = scores[skey | w] = score(w, base)
+            rem = region ^ wbit
+            childmask = basemask | wbit
+            if rem:
+                ckey = (childmask << n) | rem
+                sub = table.get(ckey, _MISSING)
+                if sub is _MISSING:
+                    yield self._reroot_frame(childmask, rem)
+                    sub = table[ckey]
+                below = rtable[ckey]
+            else:
+                sub = 0
+                below = None
+            if sub is not None:
+                if fs is not None and (best is None or fs + sub > best):
+                    best = fs + sub
+                    bestw = w
+                rs = roots.get(childmask, _MISSING)
+                if rs is _MISSING:
+                    rs = self._root_score(childmask)
+                if rs is not None:
+                    cand = (rs + sub, rbase | 1 << (top - w))
+                    if moved is None or cand > moved:
+                        moved = cand
+            if below is not None and (moved is None or below > moved):
+                moved = below
+        self._based[(basemask << n) | region] = (best, bestw)
+        self._rbased[(basemask << n) | region] = moved
+
     @staticmethod
     def _run(frame):
         """Run frame to completion on one explicit work stack: every
@@ -274,42 +441,51 @@ class _DPSolver:
 
     def sweep(self):
         """Creation order of the best retaining k-tree, or None when no
-        root has a defined score."""
+        root has a defined score.
+
+        Every retaining k-tree has a clique holding the smallest backbone
+        edge: the edge plus a (k-1)-clique of its ends' common neighbors,
+        swept in the lexicographic order iter_cliques lists them in. Each
+        offers its own rooting and, under an oracle that is not
+        root-invariant, its _rtable value; ties go to the root clique
+        listed first, and the winner's states are then filled by
+        _solve_frame for the traceback."""
         n, k = self.n, self.k
-        oracle = self.oracle
-        if oracle.root_invariant:
-            # every retaining k-tree has a clique holding this edge, and
-            # every root of a k-tree gives it the same score. The cliques
-            # holding it are the edge plus a (k-1)-clique of its ends'
-            # common neighbors; adding the same two vertices to each
-            # keeps the lexicographic order iter_cliques lists them in
-            u, v = min(self.h.edges)
-            common = self.gadj[u] & self.gadj[v]
-            rest = iter_cliques(self.gadj, k - 1, common) if k > 1 else [()]
-            roots = (tuple(sorted((u, v, *c))) for c in rest)
-        else:
-            roots = iter_cliques(self.gadj, k + 1)
+        top = n - 1
+        full = (1 << n) - 1
+        reroot = not self.oracle.root_invariant
+        frame = self._reroot_frame if reroot else self._solve_frame
+        u, v = min(self.h.edges)
+        common = self.gadj[u] & self.gadj[v]
         best = None
-        best_members = None
-        for members in roots:
-            rs = oracle.root_score(members)
-            if rs is None:
-                continue
-            total = rs
+        for c in iter_cliques(self.gadj, k - 1, common) if k > 1 else [()]:
+            members = tuple(sorted((u, v, *c)))
             rmask = mask_of(members)
-            region = ((1 << n) - 1) ^ rmask
+            rs = self._root_score(rmask)
+            if rs is None and not reroot:
+                continue
+            region = full ^ rmask
+            sub = 0
             if region:
                 # a root's region holds every vertex outside it, so no
                 # frame below ever asks for this state: run it unprobed
-                self._run(self._solve_frame(rmask, region))
-                sub = self._table[(rmask << n) | region]
-                if sub is None:
-                    continue
-                total += sub
-            if best is None or total > best:
-                best = total
-                best_members = members
-        return None if best is None else self._emit(best_members)
+                self._run(frame(rmask, region))
+                rkey = (rmask << n) | region
+                sub = self._table[rkey]
+                moved = self._rtable.get(rkey)
+                if moved is not None and (best is None or moved > best):
+                    best = moved
+            if rs is not None and sub is not None:
+                cand = (rs + sub, mask_of(top - x for x in members))
+                if best is None or cand > best:
+                    best = cand
+        if best is None:
+            return None
+        members = tuple(sorted(top - x for x in iter_bits(best[1])))
+        rmask = mask_of(members)
+        if reroot and rmask != full:
+            self._run(self._solve_frame(rmask, full ^ rmask))
+        return self._emit(members)
 
     def _emit(self, members):
         n = self.n
@@ -447,23 +623,27 @@ def solve_retaining_mskt(g: UndirectedGraph, h: BackboneTree, k: int,
                          oracle: ScoreOracle) -> SolveResult:
     """Maximum-score spanning k-tree of g containing every edge of h.
 
-    Sweeps all (k+1)-cliques of g as roots and covers the backbone
-    components by the memoized dynamic program. Ties break toward the
+    Sweeps the (k+1)-cliques of g holding the smallest backbone edge as
+    roots and covers the backbone components by the memoized dynamic
+    program; every retaining k-tree has such a clique. Unless the oracle
+    is root-invariant (ScoreOracle.root_invariant), each state also
+    carries the best total with the root moved below it, so every
+    (k+1)-clique is weighed as a root. Ties break toward the
     lexicographically smallest root clique and, within a state, the
-    smallest (covered ids, pivot, drop) choice. Under a root-invariant
-    oracle (ScoreOracle.root_invariant) only the roots holding the
-    smallest backbone edge are swept, and the result is rooted at the
-    k-tree's smallest (k+1)-clique and scored along that creation
-    order. At k = 1 the only retaining spanning 1-tree is the backbone,
-    so no DP runs: one walk over the backbone's edges scores every root
-    in O(n) oracle calls at any backbone degree, the best root wins
-    (the smallest edge on ties, the smallest backbone edge under a
-    root-invariant oracle), and the backbone is emitted in the DP's
-    order, depth first with each vertex's subtrees taken by their
-    smallest vertex. Raises InfeasibleError when no retaining k-tree has
-    a defined score, and at k >= 2 InstanceTooLargeError when a clique
-    the search reaches splits the backbone into more than 16
-    components, before any of that clique's states is filled.
+    smallest (covered ids, pivot, drop) choice; where totals differ only
+    by rounding, the rerooting sums decide, as they do at k = 1. Under a
+    root-invariant oracle the result is rooted at the k-tree's smallest
+    (k+1)-clique and scored along that creation order. At k = 1 the
+    only retaining spanning 1-tree is the backbone, so no DP runs: one
+    walk over the backbone's edges scores every root in O(n) oracle
+    calls at any backbone degree, the best root wins (the smallest edge
+    on ties, the smallest backbone edge under a root-invariant oracle),
+    and the backbone is emitted in the DP's order, depth first with each
+    vertex's subtrees taken by their smallest vertex. Raises
+    InfeasibleError when no retaining k-tree has a defined score, and at
+    k >= 2 InstanceTooLargeError when a clique the search reaches from
+    those roots splits the backbone into more than 16 components,
+    before any of that clique's states is filled.
     """
     err = validate_backbone(g, h)
     if err is not None:

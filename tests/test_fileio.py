@@ -87,6 +87,40 @@ def test_graph_missing_key_message(tmp_path):
         load_graph(p)
 
 
+@pytest.mark.parametrize("edges", [
+    "x", {"0": [0, 1]}, [[0, 1], 5], [[0, 1], [0]], [[0, 1], [0, 1, 2]],
+    [[0, 1], [0, True]], [[0, 1], [0, 1.0]], [[0, 1], [None, 1]], [[0, 1], ["0", 1]],
+])
+@pytest.mark.parametrize("key", ["edges", "backbone"])
+def test_malformed_edge_lists_name_the_key(tmp_path, edges, key):
+    # the whole list is checked in one pass per property; any entry that
+    # is not a list of two ints (bools excluded) fails it
+    obj = {"n": 3, "edges": [[0, 1], [1, 2]], "backbone": [[0, 1], [1, 2]]}
+    obj[key] = edges
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(obj))
+    with pytest.raises(ValueError) as exc:
+        load_graph(p)
+    assert str(exc.value) == f'{p}: "{key}" must be a list of [u, v] integer pairs'
+
+
+def pivot_line(key):
+    """The line a pivot key parses as, one key at a time: "w|b1,...,bk"
+    as "w,b1,...,bk", and "|" for a key with no "|" or a "," before it."""
+    w, bar, base = key.partition("|")
+    return f"{w},{base}" if bar and "," not in w else "|"
+
+
+@pytest.mark.parametrize("keys", [
+    [], ["0|1"], ["0|1,2", "2|0,1", "10|3,4"], ["|"], ["0|"], ["|1"],
+    ["0|1", "1,0"], ["0|1", "0,1|2"], ["0|1", "1|2|3"], ["0|1", "2|0\n1"],
+    ["0|1\n2|3"], ["0|1\n2", "3|4"], ["0|1", "2|0\r1"], ["0|1", ""],
+    ["0 | 1, 2", "\u0661|2"],
+])
+def test_pivot_lines_match_the_per_key_rule(keys):
+    assert fileio._pivot_lines(keys) == [pivot_line(key) for key in keys]
+
+
 def test_json_dump_deterministic(tmp_path):
     g = UndirectedGraph(4, [(2, 3), (0, 1)], {(2, 3): 1.0, (0, 1): 2.0})
     a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -213,7 +213,7 @@ def sparse_ktree_plus_chords_instance():
 
 @pytest.mark.parametrize("instance, sizes", [
     (dense_path_instance, (4114, 459, 2091, 1138)),
-    (sparse_ktree_plus_chords_instance, (1671, 1154, 305, 183)),
+    (sparse_ktree_plus_chords_instance, (574, 597, 235, 112)),
 ], ids=["dense", "sparse"])
 def test_dp_state_counts_are_pinned(instance, sizes):
     # one table state per (clique, region), one base state per
@@ -341,9 +341,11 @@ def all_ties(h):
 
 
 def all_ties_order(h):
-    """Creation order of the DP's k = 2 search over every root of the
-    all-ties tables, so each choice comes from the DP's tie-break alone:
-    smallest cover, then pivot, then drop."""
+    """Creation order of the DP's k = 2 search on the all-ties tables
+    taken as not root-invariant, so the rerooting sweep reaches every
+    root of every k-tree and the smallest root clique wins; each choice
+    below it comes from the DP's tie-break alone: smallest cover, then
+    pivot, then drop."""
     g, oracle = all_ties(h)
     oracle.root_invariant = False
     return dp_solve(g, h, 2, oracle).ktree.creation_order
@@ -516,6 +518,85 @@ def test_k1_walk_matches_the_dp(chunk):
             assert got.ktree.creation_order == ref.ktree.creation_order
 
 
+def all_roots_order(g, h, k, oracle):
+    """The DP's creation order found by sweeping every (k+1)-clique of g
+    as a root, each by _solve_frame, the first of the best totals
+    winning; None when no root has a defined total. The rerooting sweep
+    must agree with it wherever sums are exact."""
+    s = solver_mod._DPSolver(g, h, k, oracle)
+    full = (1 << g.n) - 1
+    best = None
+    for members in iter_cliques(g.adj, k + 1):
+        total = oracle.root_score(members)
+        if total is None:
+            continue
+        rmask = graphs_mod.mask_of(members)
+        if rmask != full:
+            s._run(s._solve_frame(rmask, full ^ rmask))
+            sub = s._table[(rmask << g.n) | (full ^ rmask)]
+            if sub is None:
+                continue
+            total += sub
+        if best is None or total > best:
+            best, winner = total, members
+    return None if best is None else s._emit(winner)
+
+
+def rerooting_instance(seed):
+    """A random k = 2-4 instance on n = k+1 to 12 vertices with integer
+    or 1/8-grid tables of 3 or 40 distinct values, up to 30 % of root
+    and pivot entries missing, so a pivot may be forbidden on a base one
+    way and allowed the other. Hosts are complete, a retaining k-tree
+    plus chords, or the backbone plus random pairs, which is often
+    infeasible."""
+    rng = np.random.default_rng([seed, 27])
+    k = int(rng.integers(2, 5))
+    n = int(rng.integers(k + 1, 13))
+    h = relabelled(random_backbone(n, int(rng.integers(2, 5)), rng), rng)
+    kind = seed % 3
+    if kind == 0:
+        g = UndirectedGraph.complete(n)
+    elif kind == 1:
+        t = random_retaining_ktree(h, k, rng)
+        g = UndirectedGraph(n, set(t.edges) | set(gnp_graph(n, 0.2, rng).edges))
+    else:
+        g = random_host_graph(h, float(rng.uniform(0.2, 0.8)), rng)
+    missing = float(rng.uniform(0.0, 0.3))
+    unit = 1.0 if seed % 2 else 0.125
+    # few distinct values make many rootings tie
+    values = int(rng.choice([3, 40]))
+    roots, pivots = {}, {}
+    for c in iter_cliques(g.adj, k + 1):
+        for w in (None, *c):
+            if rng.random() >= missing:
+                value = int(rng.integers(0, values)) * unit
+                if w is None:
+                    roots[c] = value
+                else:
+                    pivots[(w, tuple(x for x in c if x != w))] = value
+    oracle = ExplicitScoreOracle(k, roots, pivots)
+    oracle.root_invariant = False
+    return g, h, k, oracle
+
+
+@pytest.mark.parametrize("chunk", range(3))
+def test_rerooting_sweep_matches_the_all_roots_sweep(chunk):
+    # 300 seeded instances: the sweep over the roots on the smallest
+    # backbone edge, with rerooting values, against every root swept
+    # by _solve_frame; exact sums make both pick the same root, so the
+    # creation orders and the infeasibility texts agree
+    for seed in range(100 * chunk, 100 * chunk + 100):
+        g, h, k, oracle = rerooting_instance(seed)
+        got = solve_or_message(lambda: solve_retaining_mskt(g, h, k, oracle))
+        ref = solve_or_message(lambda: solver_mod._result(
+            g, h, k, oracle, all_roots_order(g, h, k, oracle)))
+        if isinstance(ref, str):
+            assert got == ref
+        else:
+            assert got.ktree.creation_order == ref.ktree.creation_order
+            assert got.score == ref.score
+
+
 @pytest.mark.parametrize("n, k", [(60, 2), (60, 3), (130, 2), (200, 3), (400, 2),
                                   (1000, 2), (1000, 3)])
 def test_ktree_host_solve_returns_the_host(n, k):
@@ -590,7 +671,7 @@ def test_planted_optimum_is_found_exactly_under_root_bonuses(kind, k, n, p):
     # and each attachment s(C): T* rooted at C scores n - k + b(C), any
     # other k-tree at most n - k - 1/8 + 7/64, so the optimum is T*
     # rooted at its first clique of largest bonus, found only by
-    # sweeping every root, here of hosts of about 1,300 cliques
+    # weighing every root, here of hosts of about 1,300 cliques
     rng = np.random.default_rng(2000 + 100 * k + n)
     h = path_backbone(n) if kind == "path" else random_backbone(n, 3, rng)
     t, g, planted = planted_instance(h, k, p, rng)
@@ -669,7 +750,8 @@ def test_root_invariant_sweep_matches_the_full_sweep(seed):
     g, h = weight_product_instance(500 + seed, n)
     oracle = WeightProductOracle(g)
     fast = solve_retaining_mskt(g, h, k, oracle)
-    # frozen tables are not root-invariant, so they sweep every root
+    # frozen tables are not root-invariant, so their search keeps
+    # rerooting values and weighs every root
     full = solve_retaining_mskt(g, h, k, materialize_scores(oracle, g, k))
     assert fast.ktree.edges == full.ktree.edges
     assert abs(fast.score - full.score) <= 1e-12
