@@ -37,7 +37,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InstanceTooLargeError
-from .graphs import MAX_VERTICES, BackboneTree, KTree, UndirectedGraph, normalize_edge
+from .graphs import MAX_VERTICES, BackboneTree, KTree, UndirectedGraph, mask_of, normalize_edge
 from .information import MAX_TABLE_CELLS, ExplicitScoreOracle, JointTable, SampleMatrix
 
 # Lines per whole-array pass. Parsing a 65,536-key joint in one pass
@@ -229,19 +229,28 @@ def load_graph(path):
     if n > MAX_VERTICES:
         raise InstanceTooLargeError(
             f'{path}: "n" is {n}, above the vertex limit {MAX_VERTICES}')
-    edges = _edge_list(_require(obj, "edges", path), "edges", path)
-    weights = None
+    g = _built(path, "edges", UndirectedGraph, n,
+               _edge_list(_require(obj, "edges", path), "edges", path))
     if obj.get("weights") is not None:
         weights = {(u, v): float(w) for (u, v), w in _int_key_items(
             path, _number_map(obj["weights"], "weights", path), 2)}
-    g = UndirectedGraph(n, edges, weights)
+        # the edges hold, so an error now is the weights'
+        g = _built(path, "weights", UndirectedGraph, n, g.edges, weights)
     h = None
     if obj.get("backbone") is not None:
         bound = obj.get("degree_bound")
-        h = BackboneTree(n, _edge_list(obj["backbone"], "backbone", path),
-                         _integer(bound, "degree_bound", path)
-                         if bound is not None else None)
+        h = _built(path, "backbone", BackboneTree, n,
+                   _edge_list(obj["backbone"], "backbone", path),
+                   _integer(bound, "degree_bound", path) if bound is not None else None)
     return g, h
+
+
+def _built(path, key, build, *args):
+    """build(*args), its ValueError prefixed with the file and the key."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f'{path}: "{key}": {exc}') from None
 
 
 def save_graph(path, g: UndirectedGraph, h: BackboneTree | None = None):
@@ -295,11 +304,11 @@ def load_scores(path, n) -> ExplicitScoreOracle:
 
 
 def save_scores(path, oracle: ExplicitScoreOracle):
+    roots, pivots = oracle._entries()
     obj = {
         "k": oracle.k,
-        "root": {",".join(map(str, c)): s for c, s in oracle.root_scores.items()},
-        "pivot": {f"{w}|" + ",".join(map(str, sorted(b))): s
-                  for (w, b), s in oracle.pivot_scores.items()},
+        "root": {",".join(map(str, c)): s for c, s in roots},
+        "pivot": {f"{w}|" + ",".join(map(str, b)): s for (w, b), s in pivots},
     }
     _dump_json(path, obj)
 
@@ -523,8 +532,8 @@ def save_ktree(path, t: KTree):
 def save_result(path, result, oracle):
     """Write a solver.SolveResult; per-clique scores come from the oracle."""
     t = result.ktree
-    _write_ktree(path, t, [*(oracle.score(w, base) for w, base in t.creation_order[t.k + 1:]),
-                           result.score])
+    _write_ktree(path, t, [*(oracle.score(w, mask_of(base))
+                             for w, base in t.creation_order[t.k + 1:]), result.score])
 
 
 def load_result_ktree(path):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import InstanceTooLargeError, NotRetainingError
@@ -119,10 +120,14 @@ class UndirectedGraph:
             raise InstanceTooLargeError(
                 f"n={n} is above the vertex limit {MAX_VERTICES}")
         self.n = n
-        self.edges = frozenset(normalize_edge(u, v) for u, v in edges)
-        for u, v in self.edges:
-            if u < 0 or v >= n:
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        pairs = [(u, v) if u < v else (v, u) for u, v in edges]
+        self.edges = frozenset(pairs)
+        # whole-list checks; a bad list is walked again for its first bad edge
+        lo, hi = zip(*self.edges) if pairs else ((), ())
+        if pairs and (min(lo) < 0 or max(hi) >= n or any(map(operator.eq, lo, hi))):
+            u, v = next((u, v) for u, v in pairs if u == v or u < 0 or v >= n)
+            raise ValueError(f"self-loop at vertex {u}" if u == v else
+                             f"edge ({u}, {v}) out of range for n={n}")
         self.adj = _adjacency(n, self.edges)
         if weights is None:
             self.weights = None

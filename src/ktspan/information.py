@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import or_
 
 import numpy as np
 
 from .errors import InstanceTooLargeError
 from .graphs import (
+    MAX_VERTICES,
     KTree,
     UndirectedGraph,
     iter_bits,
@@ -308,31 +310,30 @@ def total_correlation(source, variables) -> float:
 class ScoreOracle:
     """Scores clique attachments; None marks a forbidden configuration.
 
-    score(pivot, base) values a vertex attached to a k-clique and
-    root_score(clique) values a seed (k+1)-clique. None is absorbing:
-    any construction touching a forbidden configuration is itself
+    score(pivot, base_mask) values a vertex attached to a k-clique and
+    root_score(clique_mask) values a seed (k+1)-clique, both given as
+    vertex masks (bit v for vertex v). None is absorbing: any
+    construction touching a forbidden configuration is itself
     forbidden. Values must not depend on which construction produced
-    the clique, only on the (pivot, base) pair itself.
+    the clique, only on the (pivot, base) pair itself. An oracle keeps
+    whatever cache its values need; the solver keeps none.
 
-    root_invariant promises that every creation order of a k-tree sums
-    to the same score, bit for bit, whichever of its cliques is the
-    root. The solver sweeps only the roots holding the smallest backbone
-    edge either way, since every retaining k-tree has a clique holding
-    it; under this promise it skips the rerooting values that otherwise
-    weigh every other root, and returns the winner rerooted at its
-    lexicographically smallest clique. The default is False.
-    Mutual-information oracles set it, since their scores are exact
-    grid multiples; explicit tables work it out from their values, so
-    the tables `fit` writes are root-invariant too, and a solve from
-    samples and a solve on those tables give the same bits.
+    root_invariant promises that every rooting of a k-tree scores the
+    same sum. The solver then skips the rerooting values that otherwise
+    weigh every root, and returns the winner rerooted at its
+    lexicographically smallest clique, scored along that creation
+    order. The default is False. MI oracles and explicit tables that
+    pass the grid check below sum every rooting to the same bits, so a
+    solve from samples and one on the tables `fit` writes agree bit for
+    bit; weight products agree only up to rounding.
     """
 
     root_invariant = False
 
-    def score(self, pivot: int, base):
+    def score(self, pivot: int, base_mask: int):
         raise NotImplementedError
 
-    def root_score(self, clique):
+    def root_score(self, clique_mask: int):
         raise NotImplementedError
 
 
@@ -342,8 +343,9 @@ class MutualInformationOracle(ScoreOracle):
     Configurations that are not cliques of the host graph are
     forbidden. Root cliques score their total correlation, so a full
     construction sums to the total correlation of all variables split
-    across the clique tree. Every score is built from one per-oracle
-    entropy memo, so a fit or a solve computes each subset entropy once.
+    across the clique tree. Every score is read off one per-oracle
+    entropy memo, keyed by the same vertex masks the oracle takes, so a
+    fit or a solve computes each subset entropy once.
 
     Entropies are rounded to multiples of 2**-36 bits, so every rooting
     of a k-tree sums to the same bits and the oracle is root-invariant.
@@ -372,28 +374,27 @@ class MutualInformationOracle(ScoreOracle):
 
     # the host's vertices are the source's variables 0..n-1, so a vertex
     # mask is the memo's variable mask
-    def score(self, pivot, base):
-        bmask = mask_of(base)
+    def score(self, pivot, base_mask):
         pbit = 1 << pivot
-        if bmask & pbit or not mask_is_clique(self.g.adj, bmask | pbit):
+        if base_mask & pbit or not mask_is_clique(self.g.adj, base_mask | pbit):
             return None
-        return self._entropies.information(pbit, bmask)
+        return self._entropies.information(pbit, base_mask)
 
-    def root_score(self, clique):
-        mask = mask_of(clique)
-        if mask.bit_count() != len(clique) or not mask_is_clique(self.g.adj, mask):
+    def root_score(self, clique_mask):
+        if not mask_is_clique(self.g.adj, clique_mask):
             return None
-        return self._entropies.correlation(mask)
+        return self._entropies.correlation(clique_mask)
 
 
 class WeightProductOracle(ScoreOracle):
     """Product of host edge weights inside the freshly completed clique.
 
-    The value uses only the pair weights of {pivot} | base, so it does
-    not depend on which vertex played the pivot. A missing weight or
-    missing edge makes the configuration forbidden. A k-tree scores the
-    sum of its (k+1)-cliques' products under every creation order, so
-    the oracle is root-invariant.
+    The value uses only the pair weights of {pivot} | base, so one
+    product per clique mask, kept on first use, serves its root score
+    and all its pivots. A missing weight or missing edge makes the
+    configuration forbidden. A k-tree scores the sum of its
+    (k+1)-cliques' products under every creation order, so the oracle is
+    root-invariant, up to the rounding of adding them in another order.
     """
 
     root_invariant = True
@@ -402,41 +403,36 @@ class WeightProductOracle(ScoreOracle):
         if g.weights is None:
             raise ValueError("host graph carries no edge weights")
         self.g = g
+        self._products = {}
 
-    def _clique_product(self, members):
-        # sorted members give every pair as its normalized edge key
-        weights = self.g.weights
-        prod = 1.0
-        for u, v in itertools.combinations(sorted(members), 2):
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            w = weights.get((u, v))
-            if w is None:
-                return None
-            prod *= w
-        return prod
+    def _product(self, mask):
+        try:
+            return self._products[mask]
+        except KeyError:
+            # ascending members give every pair as its normalized edge key
+            weights = list(map(self.g.weights.get, itertools.combinations(iter_bits(mask), 2)))
+            prod = self._products[mask] = None if None in weights else math.prod(weights, start=1.0)
+            return prod
 
-    def score(self, pivot, base):
-        members = tuple(base) + (pivot,)
-        if len(set(members)) != len(members):
-            return None
-        return self._clique_product(members)
+    def score(self, pivot, base_mask):
+        pbit = 1 << pivot
+        return None if base_mask & pbit else self._product(base_mask | pbit)
 
-    def root_score(self, clique):
-        return self._clique_product(tuple(clique))
+    def root_score(self, clique_mask):
+        return self._product(clique_mask)
 
 
 class ExplicitScoreOracle(ScoreOracle):
     """Scores looked up from explicit tables; absent entries are forbidden.
 
-    root_scores maps sorted (k+1)-tuples to finite floats and
-    pivot_scores maps (pivot, sorted base tuple) pairs to finite floats,
-    so a lookup sorts its clique or base and builds no set. Each table
-    is given as a mapping keyed as these are, in any vertex order, or as
+    Each table is given as a mapping keyed by (k+1)-tuples for roots
+    and (pivot, base tuple) pairs for pivots, in any vertex order, or as
     a pair (rows, values): an (m, k+1) integer array, a pivot's row
     being (pivot, *base), and m numbers. Of two entries for one key the
     later wins. The checks run over the rows as whole arrays, and the
-    error names the first bad entry.
+    error names the first bad entry. The tables are kept keyed the way
+    the oracle is asked: roots by clique mask, pivots by base mask
+    shifted past the widest vertex id they name, or-ed with the pivot.
 
     root_invariant is worked out from the tables. It holds exactly when
     every root entry has all k+1 of its pivot entries and every pivot
@@ -469,18 +465,22 @@ class ExplicitScoreOracle(ScoreOracle):
                 f"attachment set {base} is not a {k}-set" if len(base) != k else
                 f"pivot {w} inside its own attachment set" if inside[i] else
                 f"non-finite score {pvals[i]} for pivot {w} on {base}")
-        self.root_scores = dict(zip(zip(*roots.T.tolist()), rvals.tolist()))
-        self.pivot_scores = dict(zip(zip(pivots[:, 0].tolist(), zip(*bases.T.tolist())),
-                                     pvals.tolist()))
+        top = int(max(roots.max(initial=0), pivots.max(initial=0)))
+        if min(roots.min(initial=0), pivots.min(initial=0)) < 0 or top >= MAX_VERTICES:
+            raise ValueError(f"score tables name a vertex outside 0..{MAX_VERTICES - 1}")
+        # a pivot key keeps the pivot in its low bits, wide enough for
+        # every vertex the rows name; score refuses a wider pivot, which
+        # could only alias another entry
+        self._shift = top.bit_length()
+        pkeys = list(map(or_, _masks(bases, self._shift), pivots[:, 0].tolist()))
+        self._roots, roots, rvals = _keyed(_masks(roots), roots, rvals)
+        self._pivots, pivots, pvals = _keyed(pkeys, pivots, pvals)
         self.root_invariant = self._detect_root_invariant(roots, rvals, pivots, pvals)
 
     def _detect_root_invariant(self, roots, rvals, pivots, pvals) -> bool:
-        """The rule above, by whole-array passes over the checked rows:
-        roots sorted, pivots as (pivot, *sorted base)."""
+        """The rule above, by whole-array passes over the checked rows,
+        one per key: roots sorted, pivots as (pivot, *sorted base)."""
         k = self.k
-        if len(self.root_scores) < len(roots) or len(self.pivot_scores) < len(pivots):
-            # a later entry replaced an earlier one: check the tables as kept
-            return ExplicitScoreOracle(k, self.root_scores, self.pivot_scores).root_invariant
         values = np.concatenate([rvals, pvals])
         n = len(set(roots.ravel().tolist()))
         # within the bound no value, scaled value or difference overflows
@@ -502,11 +502,21 @@ class ExplicitScoreOracle(ScoreOracle):
         bases, offsets = bases[by_base], offsets[by_base]
         return not (offsets[1:] != offsets[:-1])[(bases[1:] == bases[:-1]).all(axis=1)].any()
 
-    def score(self, pivot, base):
-        return self.pivot_scores.get((pivot, tuple(sorted(base))))
+    def score(self, pivot, base_mask):
+        if pivot >> self._shift:
+            return None
+        return self._pivots.get(base_mask << self._shift | pivot)
 
-    def root_score(self, clique):
-        return self.root_scores.get(tuple(sorted(clique)))
+    def root_score(self, clique_mask):
+        return self._roots.get(clique_mask)
+
+    def _entries(self):
+        """The tables' (key, value) pairs, keyed as a mapping gives them,
+        in first-given order, decoded as they are read."""
+        shift = self._shift
+        return (((tuple(iter_bits(mask)), s) for mask, s in self._roots.items()),
+                (((key & ~(-1 << shift), tuple(iter_bits(key >> shift))), s)
+                 for key, s in self._pivots.items()))
 
 
 def _score_rows(table, width, row):
@@ -524,6 +534,22 @@ def _score_rows(table, width, row):
     return keys, np.array(rows, dtype=np.int64).reshape(len(values), width), values
 
 
+def _masks(rows, shift=0):
+    """Each row's vertex mask, shifted left by shift; vertices >= 0."""
+    bits = np.array([1 << v for v in range(shift, shift + int(rows.max(initial=0)) + 1)],
+                    dtype=object)
+    return np.bitwise_or.reduce(bits[rows], axis=1).tolist()
+
+
+def _keyed(keys, rows, values):
+    """The dict of keys to values (a later row wins), and the rows and values it kept."""
+    table = dict(zip(keys, values.tolist()))
+    if len(table) < len(keys):
+        kept = list(dict(zip(keys, range(len(keys)))).values())
+        rows, values = rows[kept], values[kept]
+    return table, rows, values
+
+
 def materialize_scores(oracle: ScoreOracle, g: UndirectedGraph,
                        k: int) -> ExplicitScoreOracle:
     """Evaluate an oracle on every (k+1)-clique of g and freeze the
@@ -533,15 +559,15 @@ def materialize_scores(oracle: ScoreOracle, g: UndirectedGraph,
         raise ValueError(f"need 1 <= k < n, got k={k}, n={g.n}")
     roots, root_values, pivots, pivot_values = [], [], [], []
     for c in iter_cliques(g.adj, k + 1):
-        rs = oracle.root_score(c)
+        cmask = mask_of(c)
+        rs = oracle.root_score(cmask)
         if rs is not None:
             roots.append(c)
             root_values.append(rs)
         for w in c:
-            base = tuple(x for x in c if x != w)
-            fs = oracle.score(w, base)
+            fs = oracle.score(w, cmask ^ 1 << w)
             if fs is not None:
-                pivots.append((w, *base))
+                pivots.append((w, *(x for x in c if x != w)))
                 pivot_values.append(fs)
     return ExplicitScoreOracle(k, (roots, root_values), (pivots, pivot_values))
 

@@ -16,14 +16,15 @@ the whole base, and every clique B + x reaching it reads its best pivot.
 The child splits its region into components once, when first filled.
 Neither walks the vertices or the backbone, so on hosts of bounded
 degree a state costs the same at any n. Bitmask cliques,
-integer-packed keys and one value per state keep the tables cheap: no
-choice is stored, and the traceback runs the frame of each of the
-n - k - 1 winning states again, which reads every child off the memo,
-to recover its choice and build the creation order. One memo keeps the
-component masks of every clique reached and of each prefix they are cut
-from: a set's components are cut from those of the set minus its
-largest vertex, down to the empty set, so besides the cliques it holds
-at most n + C(n, 2) + ... + C(n, k) sets.
+integer-packed keys and one value per state keep the tables cheap. No
+score is kept: the oracle takes the frames' vertex masks and keeps its
+own cache. No choice is stored: the traceback runs the frame of each of
+the n - k - 1 winning states again, which reads every child off the
+memo, to recover its choice and build the creation order. One memo
+keeps the component masks of every clique reached and of each prefix
+they are cut from: a set's components are cut from those of the set
+minus its largest vertex, down to the empty set, so besides the cliques
+it holds at most n + C(n, 2) + ... + C(n, k) sets.
 Every retaining k-tree has a clique holding the smallest backbone edge,
 so only those cliques are swept as roots. Under an oracle that is not
 root-invariant each state also keeps a rerooting value: the best total
@@ -94,19 +95,18 @@ class _DPSolver:
     (clique << n) | region and holds the best total below the state.
     _based keys base states on (base << n) | cover and holds (best,
     pivot): the pivot breaks the drop tie of every clique reaching the
-    base. _scores keys oracle scores on (base << shift) | pivot, and
-    _splits keys on a vertex mask the backbone components it leaves, as
-    a tuple of masks: every reached clique's, and those of each prefix
-    they are cut from. No choice is stored: _solve_frame keeps its
-    winning (cover, pivot, drop) in locals and reports it only when the
-    traceback asks, and the traceback runs the frame of each winning
+    base. _splits keys on a vertex mask the backbone components it
+    leaves, as a tuple of masks: every reached clique's, and those of
+    each prefix they are cut from. No score is kept: each lookup asks
+    the oracle, by vertex mask. No choice is stored: _solve_frame keeps
+    its winning (cover, pivot, drop) in locals and reports it only when
+    the traceback asks, and the traceback runs the frame of each winning
     state again, which after a sweep finds every child in the memo.
     _rtable and _rbased key the same states as _table and _based and
     hold their rerooting values, as (total, root) with the root a
     reversed mask (vertex v at bit n - 1 - v), so of equal totals the
     larger pair holds the root clique listed first; None when no
-    rerooting has a defined total. _roots keys root scores on the
-    clique mask.
+    rerooting has a defined total.
     _solve_frame and _base_frame are generators that run as frames on
     one explicit work stack (_run): each probes the memo before asking
     for a child state, so a memo hit costs one dict lookup, and a miss
@@ -123,9 +123,6 @@ class _DPSolver:
         self.n = g.n
         self.gadj = g.adj
         self.hadj = h.adj
-        # score-memo keys pack (base mask, pivot) with the pivot in the
-        # low bits, which must hold every vertex id
-        self._pshift = self.n.bit_length()
         # per clique mask and per prefix of one the backbone components
         # it leaves (the empty set leaves the whole tree), and the cover
         # index tuples per part count; region masks are too many to keep
@@ -133,17 +130,8 @@ class _DPSolver:
         self._cover_cache = {}
         self._table = {}
         self._based = {}
-        self._scores = {}
         self._rtable = {}
         self._rbased = {}
-        self._roots = {}
-
-    def _root_score(self, cmask):
-        """The oracle's root score of a clique mask, kept in _roots."""
-        rs = self._roots.get(cmask, _MISSING)
-        if rs is _MISSING:
-            rs = self._roots[cmask] = self.oracle.root_score(tuple(iter_bits(cmask)))
-        return rs
 
     def _clique_split(self, cmask):
         """_split of a clique mask, refused past _MAX_COMPONENTS. Only a
@@ -248,15 +236,12 @@ class _DPSolver:
         (base plus w, region minus w) below it; ties go to the smaller
         w."""
         gadj = self.gadj
-        base = tuple(iter_bits(basemask))
         common = -1
-        for b in base:
+        for b in iter_bits(basemask):
             common &= gadj[b]
         score = self.oracle.score
         table = self._table
-        scores = self._scores
         n = self.n
-        skey = basemask << self._pshift
         best = None
         bestw = None
         # pivots in ascending order, peeled off inline: a generator per
@@ -266,9 +251,7 @@ class _DPSolver:
             wbit = pending & -pending
             pending ^= wbit
             w = wbit.bit_length() - 1
-            fs = scores.get(skey | w, _MISSING)
-            if fs is _MISSING:
-                fs = scores[skey | w] = score(w, base)
+            fs = score(w, basemask)
             if fs is None:
                 continue
             rem = region ^ wbit
@@ -300,11 +283,9 @@ class _DPSolver:
         rtable = self._rtable
         based = self._based
         rbased = self._rbased
-        scores = self._scores
         score = self.oracle.score
         hadj = self.hadj
         n = self.n
-        pshift = self._pshift
         key = cmask << n
         comps = self._splits.get(cmask)
         if comps is None:
@@ -334,10 +315,7 @@ class _DPSolver:
                     got = val
                 hit = rbased[bkey]
                 if hit is not None:
-                    skey = (basemask << pshift) | x
-                    fs = scores.get(skey, _MISSING)
-                    if fs is _MISSING:
-                        fs = scores[skey] = score(x, tuple(iter_bits(basemask)))
+                    fs = score(x, basemask)
                     if fs is not None:
                         cand = (fs + hit[0], hit[1])
                         if mgot is None or cand > mgot:
@@ -376,29 +354,24 @@ class _DPSolver:
         with the root moved below, the child is no longer attached on
         it."""
         gadj = self.gadj
-        base = tuple(iter_bits(basemask))
         common = -1
         rbase = 0
         top = self.n - 1
-        for b in base:
+        for b in iter_bits(basemask):
             common &= gadj[b]
             rbase |= 1 << (top - b)
         score = self.oracle.score
+        root_score = self.oracle.root_score
         table = self._table
         rtable = self._rtable
-        roots = self._roots
-        scores = self._scores
         n = self.n
-        skey = basemask << self._pshift
         best = bestw = moved = None
         pending = region & common
         while pending:
             wbit = pending & -pending
             pending ^= wbit
             w = wbit.bit_length() - 1
-            fs = scores.get(skey | w, _MISSING)
-            if fs is _MISSING:
-                fs = scores[skey | w] = score(w, base)
+            fs = score(w, basemask)
             rem = region ^ wbit
             childmask = basemask | wbit
             if rem:
@@ -415,9 +388,7 @@ class _DPSolver:
                 if fs is not None and (best is None or fs + sub > best):
                     best = fs + sub
                     bestw = w
-                rs = roots.get(childmask, _MISSING)
-                if rs is _MISSING:
-                    rs = self._root_score(childmask)
+                rs = root_score(childmask)
                 if rs is not None:
                     cand = (rs + sub, rbase | 1 << (top - w))
                     if moved is None or cand > moved:
@@ -461,7 +432,7 @@ class _DPSolver:
         for c in iter_cliques(self.gadj, k - 1, common) if k > 1 else [()]:
             members = tuple(sorted((u, v, *c)))
             rmask = mask_of(members)
-            rs = self._root_score(rmask)
+            rs = self.oracle.root_score(rmask)
             if rs is None and not reroot:
                 continue
             region = full ^ rmask
@@ -553,8 +524,9 @@ def _best_root(k: int, creation_order, oracle: ScoreOracle):
     for v, base in creation_order[k + 1:]:
         parent = max(made[b] for b in base)
         p = next(x for x in cliques[parent] if x not in base)
-        down = score(v, base)
-        up = score(p, base)
+        bmask = mask_of(base)
+        down = score(v, bmask)
+        up = score(p, bmask)
         s = shift[parent]
         f = forbidden[parent]
         if down is None:
@@ -575,7 +547,7 @@ def _best_root(k: int, creation_order, oracle: ScoreOracle):
     for clique, s, f in zip(cliques, shift, forbidden):
         if f + first_forbidden:
             continue
-        rs = oracle.root_score(clique)
+        rs = oracle.root_score(mask_of(clique))
         if rs is None:
             continue
         total = rs + s
@@ -692,11 +664,11 @@ def _rescore(t: KTree, h: BackboneTree, oracle: ScoreOracle):
     if t.n == t.k:
         raise ValueError("k-tree equals its seed clique, nothing to score")
     require_retaining(t, h)
-    rs = total = oracle.root_score(t.root_clique)
+    rs = total = oracle.root_score(mask_of(t.root_clique))
     if rs is None:
         return None, None
     for w, base in t.creation_order[t.k + 1:]:
-        fs = oracle.score(w, base)
+        fs = oracle.score(w, mask_of(base))
         if fs is None:
             return rs, None
         total += fs

@@ -65,8 +65,8 @@ def test_fit_two_variable_pivot_is_pairwise_mi(tmp_path, capsys):
                  "--k", "1", "--out", str(tmp_path / "scores.json")]) == 0
     oracle = load_scores(tmp_path / "scores.json", 2)
     mi = mutual_information(s, 1, (0,))
-    assert oracle.score(1, (0,)) == pytest.approx(mi, abs=1e-12)
-    assert oracle.root_score((0, 1)) == pytest.approx(mi, abs=1e-12)
+    assert oracle.score(1, 0b1) == pytest.approx(mi, abs=1e-12)
+    assert oracle.root_score(0b11) == pytest.approx(mi, abs=1e-12)
 
 
 def test_fit_independent_columns_near_zero(tmp_path):
@@ -81,7 +81,7 @@ def test_fit_independent_columns_near_zero(tmp_path):
     for u in range(3):
         for v in range(3):
             if u != v:
-                assert oracle.score(u, (v,)) < 0.01
+                assert oracle.score(u, 1 << v) < 0.01
 
 
 def test_fit_solve_round_trip_matches_library(tmp_path, capsys):
@@ -325,6 +325,22 @@ def test_score_table_errors_name_the_file(tmp_path, capsys, scores, message):
                  "--scores", str(tmp_path / "s.json"), "--k", "1",
                  "--out", str(tmp_path / "r.json")]) == 1
     assert capsys.readouterr().err == f"error: {tmp_path / 's.json'}: {message}\n"
+
+
+@pytest.mark.parametrize("graph, message", [
+    (dict(GOOD_GRAPH, edges=[[0, 1], [1, 2], [0, 9]]), '"edges": edge (0, 9) out of range for n=3'),
+    (dict(GOOD_GRAPH, edges=[[0, 1], [2, 2], [1, 2]]), '"edges": self-loop at vertex 2'),
+    (dict(GOOD_GRAPH, edges=[[0, 1], [1, 2]], weights={"0,2": 1.0}),
+     '"weights": weight on non-edge (0, 2)'),
+    (dict(GOOD_GRAPH, backbone=[[0, 1], [7, 3]]), '"backbone": edge (3, 7) out of range for n=3'),
+], ids=["edge-out-of-range", "self-loop", "weight-on-non-edge", "backbone-out-of-range"])
+def test_graph_constructor_errors_name_the_file_and_key(tmp_path, capsys, graph, message):
+    (tmp_path / "g.json").write_text(json.dumps(graph))
+    (tmp_path / "s.json").write_text(json.dumps(GOOD_SCORES))
+    assert main(["solve", "--graph", str(tmp_path / "g.json"),
+                 "--scores", str(tmp_path / "s.json"), "--k", "1",
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'g.json'}: {message}\n"
 
 
 GRAPH_2 = {"n": 2, "edges": [[0, 1]], "backbone": [[0, 1]]}

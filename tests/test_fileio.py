@@ -42,6 +42,7 @@ from ktspan.generate import (
     random_joint_table,
     random_ktree,
 )
+from ktspan.graphs import mask_of
 from ktspan.information import JointTable, SampleMatrix
 
 
@@ -137,11 +138,12 @@ def test_scores_round_trip(tmp_path):
     save_scores(p, oracle)
     back = load_scores(p, 5)
     assert back.k == 2
-    assert back.root_score((0, 1, 2)) == oracle.root_score((0, 1, 2))
-    assert back.score(4, (1, 2)) == oracle.score(4, (1, 2))
+    assert [*map(dict, back._entries())] == [*map(dict, oracle._entries())]
+    assert back.root_score(0b111) == oracle.root_score(0b111)
+    assert back.score(4, 0b110) == oracle.score(4, 0b110)
     # sections are optional: absent entries are forbidden, not errors
     p.write_text(json.dumps({"k": 2, "root": {}}))
-    assert load_scores(p, 5).score(0, (1, 2)) is None
+    assert load_scores(p, 5).score(0, 0b110) is None
     p.write_text(json.dumps({"root": {}}))
     with pytest.raises(ValueError, match='"k"'):
         load_scores(p, 5)
@@ -259,7 +261,7 @@ ODD_SCORES = [3, -2, -0.0, 5e-324, 1e16, np.float64(0.1), -7.5, 0]
 class PivotScores:
     """Scores picked from ODD_SCORES by the pivot."""
 
-    def score(self, pivot, base):
+    def score(self, pivot, base_mask):
         return ODD_SCORES[pivot % len(ODD_SCORES)]
 
 
@@ -267,7 +269,7 @@ def assert_writers_match_json(path, t, oracle, total):
     save_ktree(path, t)
     assert path.read_bytes() == ktree_layout_bytes(t)
     save_result(path, SolveResult(t, total, 0.0), oracle)
-    scores = [oracle.score(w, base) for w, base in t.creation_order[t.k + 1:]]
+    scores = [oracle.score(w, mask_of(base)) for w, base in t.creation_order[t.k + 1:]]
     assert path.read_bytes() == ktree_layout_bytes(t, scores, total)
 
 
@@ -305,8 +307,9 @@ def test_result_writers_match_json_dump_on_overflowing_products(tmp_path):
     t = KTree.from_creation_order(6, 2, [(0, ()), (1, (0,)), (2, (0, 1)),
                                          (3, (0, 1)), (4, (1, 0)), (5, (0, 1))])
     oracle = WeightProductOracle(g)
-    assert [oracle.score(w, b) for w, b in t.creation_order[3:]][:2] == [math.inf, -math.inf]
-    assert math.isnan(oracle.score(5, (0, 1)))
+    assert [oracle.score(w, mask_of(b)) for w, b in t.creation_order[3:]][:2] == [math.inf,
+                                                                                  -math.inf]
+    assert math.isnan(oracle.score(5, 0b11))
     assert_writers_match_json(tmp_path / "r.json", t, oracle, math.nan)
 
 

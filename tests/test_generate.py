@@ -22,6 +22,7 @@ from ktspan.generate import (
     random_ktree,
     random_retaining_ktree,
 )
+from ktspan.graphs import mask_of
 from ktspan.graphs import iter_bits
 
 
@@ -101,14 +102,14 @@ def test_random_explicit_scores_cover_host_cliques():
     oracle = random_explicit_scores(g, 2, rng)
     for c in itertools.combinations(range(6), 3):
         if g.is_clique(c):
-            rs = oracle.root_score(c)
+            rs = oracle.root_score(mask_of(c))
             assert rs is not None and 0 <= rs <= 100
             assert rs == int(rs)
             for w in c:
-                fs = oracle.score(w, tuple(x for x in c if x != w))
+                fs = oracle.score(w, mask_of(c) ^ 1 << w)
                 assert fs is not None and 0 <= fs <= 100
         else:
-            assert oracle.root_score(c) is None
+            assert oracle.root_score(mask_of(c)) is None
 
 
 def test_random_conditionals_rows():

@@ -55,6 +55,15 @@ def test_graph_basics():
         UndirectedGraph(3, [(0, 4)])
 
 
+def test_graph_names_its_first_bad_edge_in_input_order():
+    with pytest.raises(ValueError, match=r"^edge \(0, 9\) out of range for n=5$"):
+        UndirectedGraph(5, [(0, 1), (9, 0), (2, 2), (-1, 3)])
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 2$"):
+        UndirectedGraph(5, [(0, 1), (2, 2), (9, 0)])
+    with pytest.raises(ValueError, match=r"^edge \(-1, 3\) out of range for n=5$"):
+        BackboneTree(5, [(3, -1), (0, 1), (2, 2)])
+
+
 def test_backbone_is_an_unweighted_graph():
     h = path_backbone(4)
     assert isinstance(h, UndirectedGraph) and h.weights is None

@@ -32,7 +32,7 @@ from ktspan.generate import (
     random_joint_table,
     random_ktree,
 )
-from ktspan.graphs import iter_cliques
+from ktspan.graphs import iter_cliques, mask_of
 from ktspan.information import (
     ConditionalTable,
     ExplicitScoreOracle,
@@ -439,22 +439,21 @@ def test_mi_oracle_forbidden_on_non_cliques():
     rng = np.random.default_rng(18)
     p = random_joint_table((2, 2, 2, 2), rng)
     full = MutualInformationOracle(p, UndirectedGraph.complete(4))
-    assert full.score(0, (1, 2)) is not None
-    assert full.root_score((1, 2, 3)) is not None
-    # a repeated vertex, or one past the host, is no clique
-    assert full.score(1, (1, 2)) is None
-    assert full.root_score((1, 1, 2)) is None
-    assert full.score(7, (1, 2)) is None
-    assert full.root_score((1, 2, 4)) is None
-    assert full.score(5, (4, 6)) is None
+    assert full.score(0, 0b110) is not None
+    assert full.root_score(0b1110) is not None
+    # a pivot inside its base, or a vertex past the host, is no clique
+    assert full.score(1, 0b110) is None
+    assert full.score(7, 0b110) is None
+    assert full.root_score(0b10110) is None
+    assert full.score(5, 0b1010000) is None
     holed = UndirectedGraph(4, [e for e in
                                 UndirectedGraph.complete(4).edges
                                 if e != (0, 1)])
     oracle = MutualInformationOracle(p, holed)
-    assert oracle.score(0, (1, 2)) is None
-    assert oracle.score(3, (1, 2)) is not None
-    assert oracle.root_score((0, 1, 2)) is None
-    assert oracle.root_score((1, 2, 3)) is not None
+    assert oracle.score(0, 0b110) is None
+    assert oracle.score(3, 0b110) is not None
+    assert oracle.root_score(0b111) is None
+    assert oracle.root_score(0b1110) is not None
     with pytest.raises(ValueError, match="must cover variables 0..4"):
         MutualInformationOracle(p, UndirectedGraph.complete(5))
 
@@ -463,12 +462,12 @@ def test_mi_oracle_values_and_asymmetry():
     rng = np.random.default_rng(5)
     p = random_joint_table((2, 2, 2, 2), rng)
     oracle = MutualInformationOracle(p, UndirectedGraph.complete(4))
-    a = oracle.score(0, (1, 2))
+    a = oracle.score(0, 0b110)
     assert a == pytest.approx(mutual_information(p, 0, (1, 2)), abs=1e-12)
-    assert oracle.root_score((0, 1, 2)) == pytest.approx(
+    assert oracle.root_score(0b111) == pytest.approx(
         total_correlation(p, (0, 1, 2)), abs=1e-12)
     # the pivot matters: same clique, different attachment vertex
-    b = oracle.score(1, (0, 2))
+    b = oracle.score(1, 0b101)
     assert abs(a - b) > 1e-6
 
 
@@ -517,9 +516,9 @@ def test_mi_oracle_matches_the_public_functions_exactly():
             for w in c:
                 base = tuple(x for x in c if x != w)
                 for b in (base, base[::-1]):
-                    assert oracle.score(w, b) == mutual_information(src, w, b)
+                    assert oracle.score(w, mask_of(base)) == mutual_information(src, w, b)
             for order in (c, c[::-1]):
-                assert oracle.root_score(order) == total_correlation(src, c)
+                assert oracle.root_score(mask_of(c)) == total_correlation(src, order)
 
 
 def test_mutual_information_ignores_the_order_of_ys():
@@ -621,14 +620,22 @@ def test_chow_liu_trees_are_pinned(case):
 def test_explicit_oracle_lookup_and_validation():
     oracle = ExplicitScoreOracle(
         2, {(0, 1, 2): 5.0}, {(3, (1, 2)): 7.0})
-    assert oracle.root_score((2, 1, 0)) == 5.0
-    assert oracle.root_score((0, 1, 3)) is None
-    assert oracle.score(3, (2, 1)) == 7.0
-    assert oracle.score(3, (0, 1)) is None
+    assert oracle.root_score(0b111) == 5.0
+    assert oracle.root_score(0b1011) is None
+    assert oracle.score(3, 0b110) == 7.0
+    assert oracle.score(3, 0b11) is None
+    # a pivot wider than the key's low bits misses: packed unchecked,
+    # pivot 11 on base (2,) would read pivot 3's entry on (1, 2)
+    assert oracle.score(11, 0b100) is None
     with pytest.raises(ValueError):
         ExplicitScoreOracle(2, {(0, 1): 1.0}, {})
     with pytest.raises(ValueError):
         ExplicitScoreOracle(2, {}, {(1, (1, 2)): 1.0})
+    # vertex masks need vertex ids a graph can have
+    with pytest.raises(ValueError, match=r"^score tables name a vertex outside 0\.\.16383$"):
+        ExplicitScoreOracle(2, {(-1, 0, 1): 1.0}, {})
+    with pytest.raises(ValueError, match="outside 0..16383"):
+        ExplicitScoreOracle(2, {}, {(16384, (1, 2)): 1.0})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -668,8 +675,7 @@ def test_explicit_oracle_detects_root_invariant_tables(k):
     assert not products.root_invariant
     # a pivot entry left without its root entry, a root entry without
     # one of its pivot entries, and a pivot moved by one grid step
-    roots = fitted.root_scores
-    pivots = {(w, tuple(sorted(b))): s for (w, b), s in fitted.pivot_scores.items()}
+    roots, pivots = map(dict, fitted._entries())
     first = min(roots)
     key = (first[0], first[1:])
     invariant = lambda roots, pivots: ExplicitScoreOracle(k, roots, pivots).root_invariant
@@ -731,8 +737,11 @@ def tables_outcome(build, k, roots, pivots):
             tables = build(k, roots, pivots)
     except ValueError as exc:
         return str(exc)
-    return (list(tables.root_scores.items()),
-            [((w, tuple(sorted(b))), s) for (w, b), s in tables.pivot_scores.items()],
+    if isinstance(tables, ExplicitScoreOracle):
+        roots, pivots = map(dict, tables._entries())
+    else:
+        roots, pivots = tables.root_scores, tables.pivot_scores
+    return (list(roots.items()), [((w, tuple(sorted(b))), s) for (w, b), s in pivots.items()],
             tables.root_invariant)
 
 
@@ -747,8 +756,7 @@ def table_cases():
     """(name, k, roots, pivots) score tables, keyed as mappings."""
     for k in (1, 2, 3):
         fitted = fit_tables(40 + k, 8, k)
-        roots = fitted.root_scores
-        pivots = dict(fitted.pivot_scores)
+        roots, pivots = map(dict, fitted._entries())
         yield f"fit-k{k}", k, roots, pivots
         first = min(roots)
         key = (first[0], first[1:])
@@ -762,11 +770,11 @@ def table_cases():
                {**pivots, (key[0], key[1][::-1]): pivots[key] + 1.0})
         rng = np.random.default_rng(k)
         random = random_explicit_scores(UndirectedGraph.complete(7), k, rng)
-        yield f"random-k{k}", k, random.root_scores, random.pivot_scores
+        yield f"random-k{k}", k, *map(dict, random._entries())
         for value in (2.0 ** 15, 2.0 ** 15 + 2.0 ** -36, -(2.0 ** 15) - 2.0 ** -36,
                       3 * 2.0 ** -36, 2.0 ** -37, 1e308, -1e308):
             uniform = uniform_tables(4, k, value)
-            yield f"uniform-k{k}-{value}", k, uniform.root_scores, uniform.pivot_scores
+            yield f"uniform-k{k}-{value}", k, *map(dict, uniform._entries())
     yield "empty", 2, {}, {}
     yield "repeated-root-vertex", 2, {(0, 1, 2): 1.0, (0, 0, 1): 1.0}, {}
     yield "short-root", 2, {(0, 1, 2): 1.0, (0, 1): 1.0}, {}
@@ -799,16 +807,14 @@ def test_weight_product_oracle_edge_cases():
     g = UndirectedGraph(4, [(0, 1), (0, 2), (1, 2), (2, 3)],
                         {(0, 1): 2.0, (0, 2): 3.0, (1, 2): 5.0, (2, 3): 7.0})
     oracle = WeightProductOracle(g)
-    assert oracle.root_score((2, 0, 1)) == 30.0
-    assert oracle.score(2, (1, 0)) == oracle.score(0, (2, 1)) == 30.0
-    assert oracle.score(3, (2,)) == 7.0
+    assert oracle.root_score(0b111) == 30.0
+    assert oracle.score(2, 0b11) == oracle.score(0, 0b110) == 30.0
+    assert oracle.score(3, 0b100) == 7.0
     # a non-edge makes the clique forbidden
-    assert oracle.root_score((0, 1, 3)) is None
-    assert oracle.score(3, (0, 2)) is None
+    assert oracle.root_score(0b1011) is None
+    assert oracle.score(3, 0b101) is None
     # so does a pivot inside its own base
-    assert oracle.score(1, (0, 1)) is None
-    with pytest.raises(ValueError, match=r"^self-loop at vertex 0$"):
-        oracle.root_score((0, 1, 0))
+    assert oracle.score(1, 0b11) is None
     with pytest.raises(ValueError, match="carries no edge weights"):
         WeightProductOracle(UndirectedGraph(3, [(0, 1), (1, 2)]))
 
@@ -845,10 +851,10 @@ def test_materialize_scores_reproduces_oracle():
     lazy = MutualInformationOracle(p, g)
     frozen = materialize_scores(lazy, g, 2)
     for c in itertools.combinations(range(5), 3):
-        assert frozen.root_score(c) == lazy.root_score(c)
+        cmask = mask_of(c)
+        assert frozen.root_score(cmask) == lazy.root_score(cmask)
         for w in c:
-            base = tuple(x for x in c if x != w)
-            assert frozen.score(w, base) == lazy.score(w, base)
+            assert frozen.score(w, cmask ^ 1 << w) == lazy.score(w, cmask ^ 1 << w)
 
 
 def test_conditional_table_validation():

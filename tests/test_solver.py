@@ -212,17 +212,17 @@ def sparse_ktree_plus_chords_instance():
 
 
 @pytest.mark.parametrize("instance, sizes", [
-    (dense_path_instance, (4114, 459, 2091, 1138)),
-    (sparse_ktree_plus_chords_instance, (574, 597, 235, 112)),
+    (dense_path_instance, (4114, 459, 1138)),
+    (sparse_ktree_plus_chords_instance, (574, 597, 112)),
 ], ids=["dense", "sparse"])
 def test_dp_state_counts_are_pinned(instance, sizes):
     # one table state per (clique, region), one base state per
-    # (base, cover), one oracle call per (base, pivot) reached and one
-    # component split per distinct clique; the traceback replays
-    # the winning frames off the memo and fills nothing
+    # (base, cover) and one component split per distinct clique; the
+    # traceback replays the winning frames off the memo and fills
+    # nothing
     g, h, k, oracle = instance()
     s = solver_mod._DPSolver(g, h, k, oracle)
-    counts = lambda: (len(s._table), len(s._based), len(s._scores),
+    counts = lambda: (len(s._table), len(s._based),
                       sum(m.bit_count() == k + 1 for m in s._splits))
     before = []
     emit = s._emit
@@ -303,11 +303,11 @@ class RootsOnly(ScoreOracle):
 
     root_invariant = True
 
-    def root_score(self, clique):
+    def root_score(self, clique_mask):
         return 1.0
 
-    def score(self, pivot, base):
-        raise AssertionError(f"pivot {pivot} scored on base {base}")
+    def score(self, pivot, base_mask):
+        raise AssertionError(f"pivot {pivot} scored on base {bin(base_mask)}")
 
 
 def test_star_in_fan_clique_is_refused_before_its_states():
@@ -527,10 +527,10 @@ def all_roots_order(g, h, k, oracle):
     full = (1 << g.n) - 1
     best = None
     for members in iter_cliques(g.adj, k + 1):
-        total = oracle.root_score(members)
+        rmask = graphs_mod.mask_of(members)
+        total = oracle.root_score(rmask)
         if total is None:
             continue
-        rmask = graphs_mod.mask_of(members)
         if rmask != full:
             s._run(s._solve_frame(rmask, full ^ rmask))
             sub = s._table[(rmask << g.n) | (full ^ rmask)]
@@ -675,10 +675,9 @@ def test_planted_optimum_is_found_exactly_under_root_bonuses(kind, k, n, p):
     rng = np.random.default_rng(2000 + 100 * k + n)
     h = path_backbone(n) if kind == "path" else random_backbone(n, 3, rng)
     t, g, planted = planted_instance(h, k, p, rng)
-    bonus = {c: int(rng.integers(8)) / 64 for c in planted.root_scores}
-    oracle = ExplicitScoreOracle(
-        k, {c: s + bonus[c] for c, s in planted.root_scores.items()},
-        planted.pivot_scores)
+    roots, pivots = map(dict, planted._entries())
+    bonus = {c: int(rng.integers(8)) / 64 for c in roots}
+    oracle = ExplicitScoreOracle(k, {c: s + bonus[c] for c, s in roots.items()}, pivots)
     assert not oracle.root_invariant
     res = solve_retaining_mskt(g, h, k, oracle)
     assert res.ktree.edges == t.edges
@@ -688,6 +687,99 @@ def test_planted_optimum_is_found_exactly_under_root_bonuses(kind, k, n, p):
     assert res.ktree.root_clique == next(c for c in cliques if bonus[c] == best)
 
 
+def glued_blocks(k, b, m, p, rng):
+    """A chain of m host blocks of b vertices, neighbours sharing a
+    k-set S whose vertices are a backbone path, and 1/8-grid
+    clique-minus-separator tables: root(C) = f(C), score(w | B) =
+    f(B + w) - g(B). Returns the host, the backbone, the tables and the
+    glued optimum, None when a block has no retaining k-tree.
+
+    S separates the host, and a k-tree is k-connected, so every
+    retaining spanning k-tree holds S as a clique and splits at it into
+    retaining k-trees of the blocks, each holding its S cliques; any
+    such choice glues back. A k-tree scores the sum of f over its
+    cliques minus g over its clique tree's separators, the same at
+    every root, so the optimum is the sum of the block optima, each
+    found by enumeration, minus g over the S's. Labels are permuted at
+    random."""
+    blocks, seps, n = [], [()], 0
+    for i in range(m):
+        fresh = list(range(n, n + b - len(seps[-1])))
+        n += len(fresh)
+        blocks.append(list(seps[-1]) + fresh)
+        seps.append(tuple(fresh[-k:]) if i < m - 1 else ())
+    label = rng.permutation(n).tolist()
+    pairs, tree = set(), set()
+    for i, verts in enumerate(blocks):
+        # a random spanning tree of the block through both S paths
+        parent = {v: v for v in verts}
+
+        def find(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        forced = [(s[j], s[j + 1]) for s in seps[i:i + 2] for j in range(len(s) - 1)]
+        block_pairs = list(itertools.combinations(verts, 2))
+        shuffled = [block_pairs[j] for j in rng.permutation(len(block_pairs)).tolist()]
+        for u, v in forced + shuffled:
+            if find(u) != find(v):
+                parent[find(u)] = find(v)
+                tree.add((u, v))
+        pairs.update(e for e in block_pairs if rng.random() < p)
+        pairs.update(itertools.combinations(seps[i + 1], 2))
+    relabel = lambda e: (label[e[0]], label[e[1]])
+    g = UndirectedGraph(n, map(relabel, pairs | tree))
+    h = BackboneTree(n, map(relabel, tree))
+    f = {c: int(rng.integers(64)) / 8 for c in iter_cliques(g.adj, k + 1)}
+    sep = {}
+    for c in f:
+        for base in itertools.combinations(c, k):
+            sep.setdefault(base, int(rng.integers(64)) / 8)
+    oracle = ExplicitScoreOracle(
+        k, f, {(w, base): f[c] - sep[base] for c in f
+               for base in itertools.combinations(c, k) for w in set(c) - set(base)})
+    total = -sum(sep[tuple(sorted(label[v] for v in s))] for s in seps if s)
+    for verts in blocks:
+        ids = sorted(label[v] for v in verts)
+        local = {v: i for i, v in enumerate(ids)}
+        induced = lambda edges: [(local[u], local[v]) for u, v in edges
+                                 if u in local and v in local]
+        must = [tuple(sorted(local[label[v]] for v in s)) for s in seps if set(s) <= set(verts)]
+        best = None
+        for t in enumerate_retaining_ktrees(UndirectedGraph(b, induced(g.edges)),
+                                            BackboneTree(b, induced(h.edges)), k):
+            if any(not set(itertools.combinations(s, 2)) <= t.edges for s in must):
+                continue
+            cliques = [tuple(ids[x] for x in sorted(base + (w,)))
+                       for w, base in t.creation_order[k:]]
+            value = f[cliques[0]] + sum(
+                f[c] - sep[tuple(ids[x] for x in sorted(base))]
+                for c, (w, base) in zip(cliques[1:], t.creation_order[k + 1:]))
+            best = value if best is None else max(best, value)
+        if best is None:
+            return g, h, oracle, None
+        total += best
+    return g, h, oracle, total
+
+
+@pytest.mark.parametrize("k, m, seed", [(2, 10, 0), (2, 20, 1), (3, 12, 2), (3, 25, 3)])
+def test_glued_blocks_optimum_is_found_exactly(k, m, seed):
+    # blocks of 7 vertices: n = 52 and 102 at k = 2, 51 and 103 at k = 3.
+    # Vertex ids of 64 and up make a pivot-key shift one bit short alias
+    # other entries. The tables are root-invariant; the same search
+    # keeping rerooting values must agree
+    g, h, oracle, want = glued_blocks(k, 7, m, 0.92, np.random.default_rng([seed, 28]))
+    assert oracle.root_invariant
+    for invariant in (True, False):
+        oracle.root_invariant = invariant
+        if want is None:
+            with pytest.raises(InfeasibleError):
+                solve_retaining_mskt(g, h, k, oracle)
+        else:
+            assert solve_retaining_mskt(g, h, k, oracle).score == want
+
+
 class ScoresNonCliques(ScoreOracle):
     """Explicit tables that also score every attachment they lack, above
     any table entry, so only the solver keeps the k-tree on host edges."""
@@ -695,12 +787,12 @@ class ScoresNonCliques(ScoreOracle):
     def __init__(self, tables):
         self.tables = tables
 
-    def score(self, pivot, base):
-        val = self.tables.score(pivot, base)
+    def score(self, pivot, base_mask):
+        val = self.tables.score(pivot, base_mask)
         return 1000.0 if val is None else val
 
-    def root_score(self, clique):
-        return self.tables.root_score(clique)
+    def root_score(self, clique_mask):
+        return self.tables.root_score(clique_mask)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -743,6 +835,27 @@ def smallest_clique(t):
     return min(tuple(sorted(base + (w,))) for w, base in t.creation_order[t.k:])
 
 
+def test_weight_product_rootings_agree_only_up_to_rounding():
+    # root-invariant promises equal sums, not equal bits: weight products
+    # add the same products in another order at another root. The result
+    # is rerooted at its smallest clique and scored along that order, so
+    # rescoring it gives its bits back
+    spreads = []
+    for seed in range(1, 6):
+        for k in (2, 3):
+            g, h = weight_product_instance(800 + seed, 14)
+            oracle = WeightProductOracle(g)
+            res = solve_retaining_mskt(g, h, k, oracle)
+            t = res.ktree
+            assert t.root_clique == smallest_clique(t)
+            assert rescore_result(t, h, oracle).score == res.score
+            totals = {score_ktree(graphs_mod.reroot(t, base + (w,)), h, oracle)
+                      for w, base in t.creation_order[k:]}
+            assert max(totals) - min(totals) <= 1e-12 * abs(res.score)
+            spreads.append(len(totals))
+    assert max(spreads) > 1
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_root_invariant_sweep_matches_the_full_sweep(seed):
     n = 10 + seed % 5
@@ -756,7 +869,8 @@ def test_root_invariant_sweep_matches_the_full_sweep(seed):
     assert fast.ktree.edges == full.ktree.edges
     assert abs(fast.score - full.score) <= 1e-12
     assert fast.ktree.root_clique == smallest_clique(fast.ktree)
-    assert fast.root_score_component == oracle.root_score(fast.ktree.root_clique)
+    assert fast.root_score_component == oracle.root_score(
+        graphs_mod.mask_of(fast.ktree.root_clique))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -784,9 +898,9 @@ class RootLog(WeightProductOracle):
         super().__init__(g)
         self.roots = []
 
-    def root_score(self, clique):
-        self.roots.append(tuple(clique))
-        return super().root_score(clique)
+    def root_score(self, clique_mask):
+        self.roots.append(tuple(graphs_mod.iter_bits(clique_mask)))
+        return super().root_score(clique_mask)
 
 
 def test_root_invariant_sweep_keeps_the_smallest_backbone_edge():
@@ -810,11 +924,11 @@ class ZeroRootLog(ScoreOracle):
     def __init__(self):
         self.roots = []
 
-    def score(self, pivot, base):
+    def score(self, pivot, base_mask):
         return 0.0
 
-    def root_score(self, clique):
-        self.roots.append(tuple(clique))
+    def root_score(self, clique_mask):
+        self.roots.append(tuple(graphs_mod.iter_bits(clique_mask)))
         return 0.0
 
 
